@@ -103,6 +103,35 @@ void BM_BigIntDivMod(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntDivMod)->Arg(4)->Arg(16)->Arg(64);
 
+// gcd of two `limbs`-limb operands (64-bit limbs), the size range Rat
+// normalization sees under the strong-lower-bound game. Arg 1 selects
+// coprime operands (0) or a planted one-limb common factor (1).
+void BM_BigIntGcd(benchmark::State& state) {
+  Rng rng(7);
+  const auto limbs = static_cast<int>(state.range(0));
+  const bool planted = state.range(1) != 0;
+  auto random_big = [&](int limb_count) {
+    BigInt out(1);
+    for (int i = 0; i < 2 * limb_count - 1; ++i)
+      out = out * BigInt(0x100000000ll) +
+            BigInt(rng.uniform_int(1, 0xffffffffll));
+    return out;
+  };
+  BigInt a = random_big(limbs);
+  BigInt b = random_big(limbs);
+  if (planted) {
+    const BigInt factor = random_big(1);
+    a = random_big(limbs - 1) * factor;
+    b = random_big(limbs - 1) * factor;
+  } else {
+    while (BigInt::gcd(a, b) != BigInt(1)) b += BigInt(1);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::gcd(a, b));
+  }
+}
+BENCHMARK(BM_BigIntGcd)->ArgsProduct({{2, 4, 6}, {0, 1}});
+
 void BM_RatArithmetic(benchmark::State& state) {
   Rng rng(3);
   std::vector<Rat> values;

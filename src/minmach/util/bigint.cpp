@@ -263,6 +263,123 @@ std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
   return a << shift;
 }
 
+int countr_zero_wide(WideLimb x) {
+  const Limb low = static_cast<Limb>(x);
+  return low != 0 ? std::countr_zero(low)
+                  : 64 + std::countr_zero(static_cast<Limb>(x >> 64));
+}
+
+// Binary gcd on two-limb magnitudes. Once the smaller operand fits a limb,
+// one remainder brings the larger down too and gcd_u64 finishes.
+WideLimb gcd_u128(WideLimb a, WideLimb b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  const int shift = countr_zero_wide(a | b);
+  a >>= countr_zero_wide(a);
+  // a odd and b nonzero at the top of every iteration.
+  while (true) {
+    b >>= countr_zero_wide(b);
+    if (a > b) std::swap(a, b);
+    if ((a >> 64) == 0) {
+      const Limb g = gcd_u64(static_cast<Limb>(a), static_cast<Limb>(b % a));
+      return static_cast<WideLimb>(g) << shift;
+    }
+    b -= a;
+    if (b == 0) return a << shift;
+  }
+}
+
+// Bits [shift, shift + 64) of a magnitude, zero past its end.
+Limb bits_at(const Limb* mag, std::size_t n, std::size_t shift) {
+  const std::size_t i = shift / 64;
+  const int offset = static_cast<int>(shift % 64);
+  if (i >= n) return 0;
+  Limb out = mag[i] >> offset;
+  if (offset != 0 && i + 1 < n) out |= mag[i + 1] << (64 - offset);
+  return out;
+}
+
+// Lehmer's gcd on magnitudes (Knuth TAOCP vol. 2 §4.5.2), in the form
+// CPython's long gcd uses: while |a| >= 2^128, run Euclid on the top 62 bits
+// x of a and the same bits y of b, accepting a quotient only while
+// Jebelean's test (cofactor <= remainder) proves it is also the quotient of
+// the full operands. The accepted steps give a unimodular cofactor matrix,
+// with every cofactor below 2^31, that one pass applies to both magnitudes;
+// a round with no certain step takes one division remainder instead. The
+// <= 2-limb tail runs binary gcd on __int128. Requires a >= b; the result
+// may borrow a's storage or live in `scope`.
+MagSpan gcd_mag(MagSpan a, MagSpan b, minmach::util::ArenaScope& scope) {
+  while (a.size > 2) {
+    if (b.size == 0) return a;
+    const std::size_t shift =
+        a.size * 64 - static_cast<std::size_t>(
+                          std::countl_zero(a.data[a.size - 1])) - 62;
+    Limb x = bits_at(a.data, a.size, shift);
+    Limb y = bits_at(b.data, b.size, shift);
+    // Cofactor magnitudes; the signs alternate with the step parity k.
+    Limb ca = 1, cb = 0, cc = 0, cd = 1;
+    int k = 0;
+    for (;; ++k) {
+      if (y == cc) break;
+      const Limb q = (x + (ca - 1)) / (y - cc);
+      const WideLimb qy = static_cast<WideLimb>(q) * y;
+      if (qy > x) break;
+      const Limb t = x - static_cast<Limb>(qy);
+      const WideLimb s = cb + static_cast<WideLimb>(q) * cd;
+      if (s > t) break;
+      x = y;
+      y = t;
+      const Limb next = ca + q * cc;
+      ca = cd;
+      cb = cc;
+      cc = static_cast<Limb>(s);
+      cd = next;
+    }
+    if (k == 0) {
+      MagSpan quotient;
+      MagSpan remainder;
+      div_mod_mag(a.data, a.size, b.data, b.size, scope, quotient, remainder);
+      a = b;
+      b = remainder;
+      continue;
+    }
+    // Even k: a, b = ca*a - cb*b, cd*b - cc*a; odd k: a and b trade roles.
+    // Both results are non-negative and at most a, so na limbs hold them.
+    const bool odd = (k & 1) != 0;
+    Limb* next_a = scope.alloc<Limb>(2 * a.size);
+    Limb* next_b = next_a + a.size;
+    using SignedWide = __int128;
+    SignedWide carry_a = 0;
+    SignedWide carry_b = 0;
+    for (std::size_t i = 0; i < a.size; ++i) {
+      const Limb ai = a.data[i];
+      const Limb bi = i < b.size ? b.data[i] : 0;
+      const Limb u = odd ? bi : ai;
+      const Limb v = odd ? ai : bi;
+      carry_a += static_cast<SignedWide>(static_cast<WideLimb>(ca) * u) -
+                 static_cast<SignedWide>(static_cast<WideLimb>(cb) * v);
+      carry_b += static_cast<SignedWide>(static_cast<WideLimb>(cd) * v) -
+                 static_cast<SignedWide>(static_cast<WideLimb>(cc) * u);
+      next_a[i] = static_cast<Limb>(carry_a);
+      next_b[i] = static_cast<Limb>(carry_b);
+      carry_a >>= 64;
+      carry_b >>= 64;
+    }
+    b = {next_b, trim_mag(next_b, a.size)};
+    a = {next_a, trim_mag(next_a, a.size)};
+  }
+  auto wide = [](MagSpan m) {
+    WideLimb out = m.size > 0 ? m.data[0] : 0;
+    if (m.size > 1) out |= static_cast<WideLimb>(m.data[1]) << 64;
+    return out;
+  };
+  const WideLimb g = gcd_u128(wide(a), wide(b));
+  Limb* out = scope.alloc<Limb>(2);
+  out[0] = static_cast<Limb>(g);
+  out[1] = static_cast<Limb>(g >> 64);
+  return {out, trim_mag(out, 2)};
+}
+
 }  // namespace
 
 // ---- LimbStore ---------------------------------------------------------
@@ -523,38 +640,21 @@ BigInt BigInt::gcd(const BigInt& a_in, const BigInt& b_in) {
     }
     return a;
   }
-  // Euclid on raw magnitudes in one arena scope. This loop dominates Rat
-  // normalization (~19 division steps per gcd on the deep adversary
-  // instances), so it must not materialize a BigInt per step: the quotient
-  // is never used, and the remainder rotates as a borrowed span until the
+  // Lehmer's gcd on raw magnitudes in one arena scope. Rat normalization
+  // runs this on every slow-tier operation, so no step materializes a
+  // BigInt: the inputs are read in place (the small-tier scratch lives on
+  // this frame) and every intermediate is a span of arena scratch until the
   // single from_mag at the end.
   util::ArenaScope scope(util::thread_arena());
   Limb as;
   Limb bs;
   MagView av = a_in.mag_view(as);
   MagView bv = b_in.mag_view(bs);
-  // Copy both magnitudes into the scope: mag_view's small-tier scratch
-  // lives on this stack frame, and div_mod_mag may return a borrowed span
-  // of its dividend, so every span in the rotation must outlive the step.
-  Limb* ac = scope.alloc<Limb>(av.size);
-  std::copy(av.data, av.data + av.size, ac);
-  Limb* bc = scope.alloc<Limb>(bv.size);
-  std::copy(bv.data, bv.data + bv.size, bc);
-  MagSpan u{ac, av.size};
-  MagSpan v{bc, bv.size};
-  while (v.size > 0) {
-    // Down to single limbs: finish with binary gcd.
-    if (u.size <= 1 && v.size <= 1) {
-      std::uint64_t g = gcd_u64(u.size != 0 ? u.data[0] : 0, v.data[0]);
-      return from_mag(&g, 1, false);
-    }
-    MagSpan q{nullptr, 0};
-    MagSpan r{nullptr, 0};
-    div_mod_mag(u.data, u.size, v.data, v.size, scope, q, r);
-    u = v;
-    v = r;
-  }
-  return from_mag(u.data, u.size, false);
+  MagSpan a{av.data, av.size};
+  MagSpan b{bv.data, bv.size};
+  if (compare_mag(a.data, a.size, b.data, b.size) < 0) std::swap(a, b);
+  const MagSpan g = gcd_mag(a, b, scope);
+  return from_mag(g.data, g.size, false);
 }
 
 BigInt BigInt::lcm(const BigInt& a, const BigInt& b) {

@@ -8,7 +8,8 @@
 // machine word. BigInt therefore keeps every value that fits `int64_t` in an
 // inline field (no heap allocation, overflow-checked machine arithmetic) and
 // promotes to sign-magnitude 64-bit limbs (little-endian, `__uint128_t`
-// intermediates, Knuth algorithm D division) only when a result overflows.
+// intermediates, Knuth algorithm D division, Lehmer gcd) only when a result
+// overflows.
 //
 // Promotion invariant: the representation is canonical — a BigInt is in the
 // small tier if and only if its value fits `int64_t`. Every operation
@@ -156,7 +157,7 @@ class BigInt {
     return std::strong_ordering::equal;
   }
 
-  // Non-negative result; magnitude-only Euclid on arena scratch.
+  // Non-negative result; Lehmer's algorithm on arena-scratch magnitudes.
   [[nodiscard]] static BigInt gcd(const BigInt& a, const BigInt& b);
   [[nodiscard]] static BigInt lcm(const BigInt& a, const BigInt& b);
 

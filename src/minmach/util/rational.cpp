@@ -46,6 +46,12 @@ bool both_small(const BigInt& a, const BigInt& b) {
   return a.is_small() && b.is_small();
 }
 
+// Every game runs at speed 1, so `remaining / speed` on a limb-tier Rat
+// would otherwise pay two gcds and BigInt divisions by 1.
+bool is_one(const Rat& value) {
+  return value.num() == BigInt(1) && value.den() == BigInt(1);
+}
+
 }  // namespace
 
 Rat::Rat(BigInt numerator, BigInt denominator)
@@ -250,6 +256,7 @@ Rat& Rat::operator*=(const Rat& rhs) {
     return *this;
   }
   MINMACH_OBS_TALLY(rat_slow_ops);
+  if (is_one(rhs)) return *this;
   BigInt g1 = BigInt::gcd(num_, rhs.den_);
   BigInt g2 = BigInt::gcd(rhs.num_, den_);
   num_ = (num_ / g1) * (rhs.num_ / g2);
@@ -271,6 +278,7 @@ Rat& Rat::operator/=(const Rat& rhs) {
     return *this;
   }
   MINMACH_OBS_TALLY(rat_slow_ops);
+  if (is_one(rhs)) return *this;
   BigInt g1 = BigInt::gcd(num_, rhs.num_);
   BigInt g2 = BigInt::gcd(den_, rhs.den_);
   num_ = (num_ / g1) * (rhs.den_ / g2);

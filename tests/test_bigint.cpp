@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "minmach/util/rng.hpp"
 
@@ -243,8 +245,132 @@ TEST_P(BigIntRandom, Int128ConversionRoundTrip) {
   }
 }
 
+// ----- gcd differential against a reference Euclid -----
+
+// Textbook Euclid on the public div_mod: independent of the production gcd
+// kernel and of its legacy branch.
+BigInt reference_gcd(BigInt a, BigInt b) {
+  a = a.abs();
+  b = b.abs();
+  while (!b.is_zero()) {
+    BigInt r = BigInt::div_mod(a, b).remainder;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+// Little-endian 64-bit limbs to a non-negative BigInt.
+BigInt from_limbs(const std::vector<std::uint64_t>& limbs) {
+  const BigInt base = BigInt::from_string("18446744073709551616");  // 2^64
+  BigInt out(0);
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    // Each limb goes in as two 32-bit halves: int64 holds neither 2^64 - 1
+    // nor any limb with its top bit set.
+    out = out * base + BigInt(static_cast<std::int64_t>(limbs[i] >> 32)) *
+                           BigInt(0x100000000ll) +
+          BigInt(static_cast<std::int64_t>(limbs[i] & 0xffffffffu));
+  }
+  return out;
+}
+
+// 1..max_limbs limbs, each uniform, all ones or zero; the top limb is
+// nonzero and sometimes exactly 1.
+BigInt random_limbs(Rng& rng, int max_limbs) {
+  std::vector<std::uint64_t> limbs(
+      static_cast<std::size_t>(rng.uniform_int(1, max_limbs)));
+  for (auto& limb : limbs) {
+    const auto kind = rng.uniform_int(0, 5);
+    limb = kind == 0 ? ~std::uint64_t{0} : kind == 1 ? 0 : rng.next_u64();
+  }
+  if (rng.bernoulli(0.15)) limbs.back() = 1;
+  if (limbs.back() == 0) limbs.back() = rng.next_u64() | 1;
+  return from_limbs(limbs);
+}
+
+BigInt random_sign(Rng& rng, const BigInt& value) {
+  return rng.bernoulli(0.5) ? value.negated() : value;
+}
+
+// gcd(a, b) must equal the reference, be non-negative and canonical, divide
+// both operands, and leave coprime cofactors.
+void expect_gcd(const BigInt& a, const BigInt& b) {
+  const BigInt g = BigInt::gcd(a, b);
+  ASSERT_EQ(g, reference_gcd(a, b)) << "a=" << a << " b=" << b;
+  EXPECT_EQ(BigInt::gcd(b, a), g);
+  EXPECT_FALSE(g.is_negative());
+  EXPECT_EQ(g.is_small(), g.fits_int64()) << g;
+  if (g.is_zero()) {
+    EXPECT_TRUE(a.is_zero() && b.is_zero());
+    return;
+  }
+  EXPECT_TRUE((a % g).is_zero()) << "a=" << a << " g=" << g;
+  EXPECT_TRUE((b % g).is_zero()) << "b=" << b << " g=" << g;
+  EXPECT_EQ(BigInt::gcd(a / g, b / g), BigInt(1)) << "a=" << a << " b=" << b;
+}
+
+TEST_P(BigIntRandom, GcdMatchesReferenceEuclid) {
+  Rng rng(GetParam() * 104729 + 7);
+  for (int iter = 0; iter < 400; ++iter) {
+    // Independent operands of 1-8 limbs, both signs.
+    expect_gcd(random_sign(rng, random_limbs(rng, 8)),
+               random_sign(rng, random_limbs(rng, 8)));
+    // A planted common factor of 1-3 limbs.
+    const BigInt factor = random_limbs(rng, 3);
+    expect_gcd(random_sign(rng, factor * random_limbs(rng, 5)),
+               random_sign(rng, factor * random_limbs(rng, 5)));
+    // Equal operands, zero, and neighbours.
+    const BigInt u = random_limbs(rng, 8);
+    expect_gcd(u, u);
+    expect_gcd(u, u.negated());
+    expect_gcd(u, BigInt(0));
+    expect_gcd(u, u + BigInt(1));
+    expect_gcd(u, u - BigInt(1));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntRandom,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+TEST(BigInt, GcdAtLimbBoundaries) {
+  const BigInt two64 = BigInt::from_string("18446744073709551616");
+  const BigInt two128 = two64 * two64;
+  std::vector<BigInt> values;
+  for (const BigInt& edge : {two64, two128}) {
+    for (int delta : {-1, 0, 1}) values.push_back(edge + BigInt(delta));
+  }
+  values.push_back(BigInt(1));
+  values.push_back(BigInt(0));
+  values.push_back(BigInt(std::numeric_limits<std::int64_t>::min()));
+  values.push_back(two128 * two64 - BigInt(1));  // three limbs of all ones
+  const std::size_t base_count = values.size();
+  for (std::size_t i = 0; i < base_count; ++i)
+    values.push_back(values[i] * (two128 + BigInt(1)));
+  for (const BigInt& a : values) {
+    for (const BigInt& b : values) expect_gcd(a, b);
+  }
+  Rng rng(64128);
+  for (const BigInt& edge : values) {
+    for (int iter = 0; iter < 50; ++iter)
+      expect_gcd(edge, random_sign(rng, random_limbs(rng, 6)));
+  }
+}
+
+TEST(BigInt, GcdOfConsecutiveFibonacci) {
+  // Every Euclid quotient is 1: the longest remainder sequence for the
+  // operand size, so every multi-limb round runs many single steps.
+  BigInt f0(0);
+  BigInt f1(1);
+  for (int i = 0; i < 600; ++i) {
+    BigInt next = f0 + f1;
+    f0 = std::move(f1);
+    f1 = std::move(next);
+    if (i % 20 == 0) {
+      expect_gcd(f1, f0);
+      expect_gcd(f1 * BigInt(6), f0 * BigInt(10));
+    }
+  }
+}
 
 // Directed Knuth-D corner: dividend top limbs equal to divisor top limb
 // forces the q_hat = base-1 clamp path.

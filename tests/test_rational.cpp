@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "minmach/util/rng.hpp"
 
 namespace minmach {
@@ -64,6 +66,44 @@ TEST(Rat, Predicates) {
 TEST(Rat, ToDouble) {
   EXPECT_DOUBLE_EQ(Rat(1, 2).to_double(), 0.5);
   EXPECT_DOUBLE_EQ(Rat(-1, 4).to_double(), -0.25);
+}
+
+TEST(Rat, UnitOperandKeepsValueAndRepresentation) {
+  // A small value, the same value with limb-tier components (the general
+  // path), and a multi-limb value.
+  const Rat small(-7, 3);
+  BigInt promoted_num(-7);
+  BigInt promoted_den(3);
+  promoted_num.debug_force_promote();
+  promoted_den.debug_force_promote();
+  const Rat promoted(promoted_num, promoted_den);
+  const Rat wide(BigInt::from_string("-340282366920938463463374607431768211457"),
+                 BigInt::from_string("18446744073709551629"));
+  ASSERT_FALSE(promoted.num().is_small());
+  ASSERT_FALSE(wide.num().is_small());
+  for (const Rat& x : {small, promoted, wide}) {
+    for (const Rat& y : {x * Rat(1), x / Rat(1)}) {
+      EXPECT_EQ(y, x);
+      EXPECT_EQ(y.num(), x.num());
+      EXPECT_EQ(y.den(), x.den());
+      EXPECT_EQ(y.num().is_small(), x.num().is_small());
+      EXPECT_EQ(y.den().is_small(), x.den().is_small());
+      EXPECT_EQ(y.to_string(), x.to_string());
+    }
+  }
+  // Other operands still take the general path, whose results are
+  // canonical and agree with the small tier.
+  const std::pair<Rat, Rat> general[] = {{promoted * Rat(-1), small * Rat(-1)},
+                                         {promoted / Rat(2), small / Rat(2)}};
+  for (const auto& [y, expected] : general) {
+    EXPECT_EQ(y, expected);
+    EXPECT_TRUE(y.num().is_small());
+    EXPECT_TRUE(y.den().is_small());
+    EXPECT_EQ(y.to_string(), expected.to_string());
+  }
+  EXPECT_EQ(wide * Rat(-1), -wide);
+  EXPECT_EQ(wide / Rat(2) * Rat(2), wide);
+  EXPECT_EQ((wide / Rat(2)).den(), wide.den() * BigInt(2));
 }
 
 class RatRandom : public ::testing::TestWithParam<std::uint64_t> {};
