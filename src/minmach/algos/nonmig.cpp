@@ -3,38 +3,73 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "minmach/algos/single_machine.hpp"
 #include "minmach/util/arena.hpp"
 
 namespace minmach {
 
+std::size_t NonMigratoryPolicy::insert_position(const Profile& profile,
+                                                const Rat& deadline,
+                                                JobId job) {
+  auto after = std::upper_bound(
+      profile.begin(), profile.end(), deadline,
+      [job](const Rat& d, const ProfileEntry& entry) {
+        return d < entry.deadline || (d == entry.deadline && job < entry.job);
+      });
+  return static_cast<std::size_t>(after - profile.begin());
+}
+
+Rat NonMigratoryPolicy::slack_before(const Profile& profile, std::size_t pos,
+                                     const Rat& deadline,
+                                     const Simulator& sim) {
+  if (pos == 0) return (deadline - sim.now()) * sim.speed();
+  const ProfileEntry& prev = profile[pos - 1];
+  Rat slack = (deadline - prev.deadline) * sim.speed();
+  slack += prev.slack;
+  return slack;
+}
+
 void NonMigratoryPolicy::on_release(Simulator& sim, JobId job) {
   std::size_t machine = choose_machine(sim, job);
-  if (machine >= assigned_.size()) assigned_.resize(machine + 1);
-  assigned_[machine].push_back(job);
+  if (machine >= profiles_.size()) profiles_.resize(machine + 1);
+  Profile& profile = profiles_[machine];
+  const Rat& deadline = sim.job(job).deadline;
+  const Rat& work = sim.remaining(job);
+  const std::size_t pos = insert_position(profile, deadline, job);
+  Rat slack = slack_before(profile, pos, deadline, sim);
+  slack -= work;
+  for (std::size_t i = pos; i < profile.size(); ++i) profile[i].slack -= work;
+  profile.insert(profile.begin() + static_cast<std::ptrdiff_t>(pos),
+                 {deadline, job, std::move(slack)});
   if (job >= machine_by_job_.size()) machine_by_job_.resize(job + 1);
   machine_by_job_[job] = machine;
 }
 
-void NonMigratoryPolicy::on_complete(Simulator&, JobId) {}
+void NonMigratoryPolicy::remove(std::size_t machine, JobId job,
+                                const Rat& leftover) {
+  Profile& profile = profiles_[machine];
+  // The dispatcher runs the head, so completions and misses find it first.
+  auto it = std::find_if(profile.begin(), profile.end(),
+                         [job](const ProfileEntry& e) { return e.job == job; });
+  if (!leftover.is_zero())
+    for (auto later = it + 1; later != profile.end(); ++later)
+      later->slack += leftover;
+  profile.erase(it);
+}
 
-void NonMigratoryPolicy::on_miss(Simulator&, JobId) {}
+// Every finished or missed job was released, hence committed and profiled.
+void NonMigratoryPolicy::on_complete(Simulator&, JobId job) {
+  remove(*machine_by_job_[job], job, Rat(0));
+}
+
+void NonMigratoryPolicy::on_miss(Simulator& sim, JobId job) {
+  remove(*machine_by_job_[job], job, sim.remaining(job));
+}
 
 void NonMigratoryPolicy::dispatch(Simulator& sim) {
-  for (std::size_t m = 0; m < assigned_.size(); ++m) {
-    // Drop finished/missed jobs lazily.
-    std::erase_if(assigned_[m], [&](JobId id) {
-      return sim.finished(id) || sim.missed(id);
-    });
-    // Earliest deadline among this machine's active jobs.
-    JobId best = kInvalidJob;
-    for (JobId id : assigned_[m]) {
-      if (best == kInvalidJob ||
-          sim.job(id).deadline < sim.job(best).deadline ||
-          (sim.job(id).deadline == sim.job(best).deadline && id < best))
-        best = id;
-    }
-    sim.set_running(m, best);
-  }
+  for (std::size_t m = 0; m < profiles_.size(); ++m)
+    sim.set_running(m, profiles_[m].empty() ? kInvalidJob
+                                            : profiles_[m].front().job);
 }
 
 std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
@@ -45,39 +80,36 @@ std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
 bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
                                           std::size_t machine,
                                           JobId job) const {
+  static const Profile kEmpty;
+  const Profile& profile =
+      machine < profiles_.size() ? profiles_[machine] : kEmpty;
   if (util::substrate_legacy()) [[unlikely]] {
-    // Seed path: a fresh commitment vector per probe.
+    // Seed path: replay EDF on a fresh commitment vector per probe.
     std::vector<MachineCommitment> commitments;
-    if (machine < assigned_.size()) {
-      for (JobId id : assigned_[machine]) {
-        if (sim.finished(id) || sim.missed(id)) continue;
-        commitments.push_back({sim.job(id).release, sim.job(id).deadline,
-                               sim.remaining(id)});
-      }
-    }
+    for (const ProfileEntry& entry : profile)
+      commitments.push_back({sim.job(entry.job).release, entry.deadline,
+                             sim.remaining(entry.job)});
     commitments.push_back(
         {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
     return edf_feasible_single_machine(std::move(commitments), sim.now(),
                                        sim.speed());
   }
-  commit_scratch_.clear();
-  if (machine < assigned_.size()) {
-    for (JobId id : assigned_[machine]) {
-      if (sim.finished(id) || sim.missed(id)) continue;
-      commit_scratch_.push_back({sim.job(id).release, sim.job(id).deadline,
-                                 sim.remaining(id)});
-    }
-  }
-  commit_scratch_.push_back(
-      {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
-  return edf_feasible_single_machine_inplace(commit_scratch_, sim.now(),
-                                             sim.speed());
+  // Prefix-demand test: the slacks before the insertion point stay as they
+  // are; the new entry's slack and every later one drop by the job's work.
+  const Rat& deadline = sim.job(job).deadline;
+  const Rat& work = sim.remaining(job);
+  const std::size_t pos = insert_position(profile, deadline, job);
+  for (std::size_t i = 0; i < pos; ++i)
+    if (profile[i].slack.is_negative()) return false;
+  for (std::size_t i = pos; i < profile.size(); ++i)
+    if (profile[i].slack < work) return false;
+  return slack_before(profile, pos, deadline, sim) >= work;
 }
 
 std::vector<std::size_t> NonMigratoryPolicy::feasible_machines(
     const Simulator& sim, JobId job) const {
   std::vector<std::size_t> out;
-  for (std::size_t m = 0; m < assigned_.size(); ++m) {
+  for (std::size_t m = 0; m < profiles_.size(); ++m) {
     if (machine_can_take(sim, m, job)) out.push_back(m);
   }
   return out;
@@ -89,7 +121,7 @@ const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(
     feasible_scratch_ = feasible_machines(sim, job);  // seed: fresh vector
   else {
     feasible_scratch_.clear();
-    for (std::size_t m = 0; m < assigned_.size(); ++m) {
+    for (std::size_t m = 0; m < profiles_.size(); ++m) {
       if (machine_can_take(sim, m, job)) feasible_scratch_.push_back(m);
     }
   }
@@ -98,12 +130,11 @@ const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(
 
 Rat NonMigratoryPolicy::machine_load(const Simulator& sim,
                                      std::size_t machine) const {
-  Rat load(0);
-  if (machine < assigned_.size()) {
-    for (JobId id : assigned_[machine]) {
-      if (!sim.finished(id) && !sim.missed(id)) load += sim.remaining(id);
-    }
-  }
+  if (machine >= profiles_.size() || profiles_[machine].empty()) return Rat(0);
+  // The last slack counts every remaining unit on the machine.
+  const ProfileEntry& last = profiles_[machine].back();
+  Rat load = (last.deadline - sim.now()) * sim.speed();
+  load -= last.slack;
   return load;
 }
 
@@ -133,16 +164,19 @@ std::size_t FitPolicy::choose_machine(Simulator& sim, JobId job) {
   switch (rule_) {
     case FitRule::kFirstFit:
       return feasible.front();
-    case FitRule::kBestFit: {
-      std::size_t best = feasible.front();
-      for (std::size_t m : feasible)
-        if (machine_load(sim, m) > machine_load(sim, best)) best = m;
-      return best;
-    }
+    case FitRule::kBestFit:
     case FitRule::kWorstFit: {
+      // Largest (BestFit) or smallest (WorstFit) load, first index on ties;
+      // each machine's load is evaluated once.
       std::size_t best = feasible.front();
-      for (std::size_t m : feasible)
-        if (machine_load(sim, m) < machine_load(sim, best)) best = m;
+      Rat best_load = machine_load(sim, best);
+      for (std::size_t i = 1; i < feasible.size(); ++i) {
+        Rat load = machine_load(sim, feasible[i]);
+        if (rule_ == FitRule::kBestFit ? load > best_load : load < best_load) {
+          best = feasible[i];
+          best_load = std::move(load);
+        }
+      }
       return best;
     }
     case FitRule::kRandomFit: {

@@ -5,8 +5,21 @@
 // gains nothing from delaying the commitment past a_j = r_j + l_j, and the
 // lower-bound game of Section 3 observes commitments through processing).
 // Per machine the dispatcher runs preemptive EDF over the assigned active
-// jobs, which is optimal for a fixed assignment; the admission test
-// (edf_feasible_single_machine) is therefore exact.
+// jobs, which is optimal for a fixed assignment, so an admission test that
+// decides single-machine EDF feasibility is exact.
+//
+// Each machine keeps an incremental slack profile (DESIGN.md §3.1): its
+// active jobs in (deadline, JobId) order, each with
+//   slack_i = (d_i - now) * s - sum_{k <= i} remaining_k.
+// Every commitment on a machine is released when a job is admitted, so
+// EDF feasibility is the prefix-demand test "every slack >= 0". The
+// dispatcher always runs the profile head, which is in every prefix, so
+// both terms of a slack fall at rate s and slacks stay fixed while time
+// advances. Admission is then a handful of comparisons, a commitment
+// subtracts p from the later slacks, and completions/misses erase an entry
+// (a miss adds its leftover work back to the later slacks); nothing is
+// replayed. Under util::substrate_legacy() admission still replays EDF
+// (edf_feasible_single_machine) on commitments read from the profile.
 //
 // Subclasses only choose the machine. The provided fit rules are the
 // opponent suite for the strong lower bound (experiment E1): a lower bound
@@ -18,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "minmach/algos/single_machine.hpp"
 #include "minmach/sim/engine.hpp"
 #include "minmach/util/rng.hpp"
 
@@ -26,14 +38,16 @@ namespace minmach {
 
 class NonMigratoryPolicy : public OnlinePolicy {
  public:
+  // Final: the slack profiles are only exact if every event reaches them
+  // and every machine runs its profile head.
   void on_release(Simulator& sim, JobId job) final;
-  void on_complete(Simulator& sim, JobId job) override;
-  void on_miss(Simulator& sim, JobId job) override;
-  void dispatch(Simulator& sim) override;
+  void on_complete(Simulator& sim, JobId job) final;
+  void on_miss(Simulator& sim, JobId job) final;
+  void dispatch(Simulator& sim) final;
 
   // Machine the job was committed to (set at its release).
   [[nodiscard]] std::optional<std::size_t> machine_of(JobId job) const;
-  [[nodiscard]] std::size_t open_machines() const { return assigned_.size(); }
+  [[nodiscard]] std::size_t open_machines() const { return profiles_.size(); }
 
  protected:
   // Decide the machine for the newly released job. Returning open_machines()
@@ -50,6 +64,7 @@ class NonMigratoryPolicy : public OnlinePolicy {
   // still fills a fresh vector, matching the seed.
   [[nodiscard]] const std::vector<std::size_t>& feasible_machines_pooled(
       const Simulator& sim, JobId job) const;
+  // Exact admission test for a job at its release.
   [[nodiscard]] bool machine_can_take(const Simulator& sim,
                                       std::size_t machine, JobId job) const;
 
@@ -57,18 +72,29 @@ class NonMigratoryPolicy : public OnlinePolicy {
   [[nodiscard]] Rat machine_load(const Simulator& sim,
                                  std::size_t machine) const;
 
-  [[nodiscard]] const std::vector<JobId>& jobs_on(std::size_t machine) const {
-    return assigned_[machine];
-  }
-
  private:
-  std::vector<std::vector<JobId>> assigned_;
+  // One active job of a machine's slack profile.
+  struct ProfileEntry {
+    Rat deadline;
+    JobId job;
+    Rat slack;  // (deadline - now) * s - remaining work up to this entry
+  };
+  using Profile = std::vector<ProfileEntry>;
+
+  // Index of the first entry after (deadline, job) in profile order.
+  [[nodiscard]] static std::size_t insert_position(const Profile& profile,
+                                                   const Rat& deadline,
+                                                   JobId job);
+  // Slack a job with this deadline would have at `pos`, before its own
+  // work is counted.
+  [[nodiscard]] static Rat slack_before(const Profile& profile,
+                                        std::size_t pos, const Rat& deadline,
+                                        const Simulator& sim);
+  // Erases the job's entry; `leftover` is the work it still owed.
+  void remove(std::size_t machine, JobId job, const Rat& leftover);
+
+  std::vector<Profile> profiles_;
   std::vector<std::optional<std::size_t>> machine_by_job_;
-  // Admission-test scratch, reused across the per-release probe of every
-  // open machine (mutable: the probes are logically const queries). Under
-  // util::substrate_legacy() the probes build fresh vectors instead,
-  // matching the seed.
-  mutable std::vector<MachineCommitment> commit_scratch_;
   mutable std::vector<std::size_t> feasible_scratch_;
 };
 

@@ -8,12 +8,6 @@ namespace minmach {
 
 bool edf_feasible_single_machine(std::vector<MachineCommitment> commitments,
                                  const Rat& start, const Rat& speed) {
-  return edf_feasible_single_machine_inplace(commitments, start, speed);
-}
-
-bool edf_feasible_single_machine_inplace(
-    std::vector<MachineCommitment>& commitments, const Rat& start,
-    const Rat& speed) {
   for (auto& c : commitments) {
     if (c.available_from < start) c.available_from = start;
     if (c.remaining.is_negative()) return false;

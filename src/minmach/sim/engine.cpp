@@ -127,6 +127,7 @@ void Simulator::deliver_events_at_now() {
   for (std::size_t m = 0; m < running_.size(); ++m) {
     JobId job = running_[m];
     if (job != kInvalidJob && remaining_[job].is_zero()) {
+      obs::ProfileSpan phase("sim_complete");
       state_[job] = JobState::kFinished;
       --open_jobs_;
       running_[m] = kInvalidJob;
@@ -150,6 +151,7 @@ void Simulator::deliver_events_at_now() {
     }
     std::sort(due_scratch_.begin(), due_scratch_.end());
     for (JobId id : due_scratch_) {
+      obs::ProfileSpan phase("sim_miss");
       state_[id] = JobState::kMissed;
       --open_jobs_;
       missed_list_.push_back(id);
@@ -165,6 +167,7 @@ void Simulator::deliver_events_at_now() {
   }
   // 3. Releases due now.
   while (!pending_.empty() && pending_.front().time <= now_) {
+    obs::ProfileSpan phase("sim_release");
     JobId id = pending_.front().job;
     heap_pop(pending_);
     state_[id] = JobState::kActive;
@@ -180,6 +183,7 @@ void Simulator::deliver_events_at_now() {
     policy_->on_release(*this, id);
   }
   // 4. Let the policy (re)decide what runs.
+  obs::ProfileSpan phase("sim_policy_dispatch");
   ++stats_.dispatches;
   if (tracing) {
     std::vector<JobId> before = running_;
@@ -199,13 +203,17 @@ void Simulator::deliver_events_at_now() {
 }
 
 Rat Simulator::next_event_time(const Rat& horizon) {
+  obs::ProfileSpan span("sim_next_event");
   Rat next = horizon;
   if (!pending_.empty()) next = Rat::min(next, pending_.front().time);
-  for (std::size_t m = 0; m < running_.size(); ++m) {
-    JobId job = running_[m];
-    if (job != kInvalidJob)
-      next = Rat::min(next, now_ + remaining_[job] / speed_);
+  // Earliest completion: speed_ > 0, so the least remaining work finishes
+  // first and one division and addition price it.
+  const Rat* least = nullptr;
+  for (JobId job : running_) {
+    if (job != kInvalidJob && (!least || remaining_[job] < *least))
+      least = &remaining_[job];
   }
+  if (least) next = Rat::min(next, now_ + *least / speed_);
   prune_deadline_heap();
   if (!deadline_heap_.empty())
     next = Rat::min(next, deadline_heap_.front().time);
