@@ -20,12 +20,13 @@
 //       mode, cache off. Enforced >= 1.5x end-to-end wall with the tier on
 //       at full size (recorded, not enforced, at smoke sizes -- wall
 //       ratios on tiny inputs measure the scheduler).
-//   exactness        : probe-for-probe differential against
-//       OracleOptions::legacy() -- for every instance of both families and
-//       every m in [1, n], feasible(m) under the tier must equal the
-//       legacy verdict, and the OPT values must match. The sandwich is
-//       certified on both sides, so any disagreement is a soundness bug,
-//       not a tolerance.
+//   exactness        : probe-for-probe differential against the dense
+//       reference network of tests/reference_oracle.hpp -- for every
+//       instance of both families, OPT must equal the reference's, and
+//       feasible(m) under the tier must equal m >= OPT for every m in
+//       [1, n] (the reference's verdicts, which are monotone in m). The
+//       sandwich is certified on both sides, so any disagreement is a
+//       soundness bug, not a tolerance.
 //
 // The phases drive the tier through set_bounds_tier_enabled themselves
 // (the --bounds flag still parses; this driver A/Bs both modes in one
@@ -51,6 +52,7 @@
 #include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace {
 
@@ -254,10 +256,10 @@ int main(int argc, char** argv) {
             Table::fmt(sweep_speedup, 2), full_size ? ">= 1.5" : "> 0",
             full_size ? sweep_speedup >= 1.5 : sweep_speedup > 0.0);
 
-  // --- phase C: probe-for-probe exactness vs legacy() --------------------
+  // --- phase C: probe-for-probe exactness vs the reference oracle --------
   // Every verdict the tier hands out -- short-circuited, pinched, or
-  // probed inside the bracket -- must equal the pre-compression legacy
-  // oracle's, m by m. The sandwich makes this an identity, not a bound.
+  // probed inside the bracket -- must equal the reference network's, m by
+  // m. The sandwich makes this an identity, not a bound.
   set_bounds_tier_enabled(true);
   std::vector<Instance> exact_set = bases;
   for (const Instance& instance : family) exact_set.push_back(instance);
@@ -265,24 +267,24 @@ int main(int argc, char** argv) {
   const std::uint64_t skipped0 =
       obs::Registry::global().counter("bounds.probes_skipped").value();
   for (const Instance& instance : exact_set) {
-    FeasibilityOracle tier(instance);  // default options: bounds on
-    FeasibilityOracle legacy(instance, OracleOptions::legacy());
+    FeasibilityOracle tier(instance);  // bound tier gate on
+    const std::int64_t opt = reference_opt(instance);
     const std::int64_t n = static_cast<std::int64_t>(instance.size());
     for (std::int64_t m = 1; m <= n; ++m) {
-      bench::require(tier.feasible(m) == legacy.feasible(m),
+      bench::require(tier.feasible(m) == (m >= opt),
                      "exactness: feasible(" + std::to_string(m) +
-                         ") diverges from legacy()");
+                         ") diverges from the reference oracle");
       ++probes_compared;
     }
-    bench::require(tier.optimal_machines() == legacy.optimal_machines(),
-                   "exactness: OPT diverges from legacy()");
+    bench::require(tier.optimal_machines() == opt,
+                   "exactness: OPT diverges from the reference oracle");
   }
   obs::drain_hot_tallies();
   const std::uint64_t probes_skipped =
       obs::Registry::global().counter("bounds.probes_skipped").value() -
       skipped0;
   set_bounds_tier_enabled(false);
-  ctx.check("exactness: probe-for-probe verdicts equal legacy()",
+  ctx.check("exactness: probe-for-probe verdicts equal the reference's",
             std::to_string(probes_compared) + " probes", "all equal", true);
 
   // Machine-readable record (wall times included, so this file is NOT

@@ -105,18 +105,26 @@ inline std::string path_flag(Cli& cli, const std::string& flag) {
 // spurious "regressions" when a metric is renamed).
 inline constexpr std::string_view kBenchJsonSchema = "bench-json-v1";
 
-// Build-time git revision, injected by CMake (-DMINMACH_GIT_REV=...);
-// "unknown" outside a git checkout (e.g. tarball builds).
+// Build-time git revision and build type, injected by CMake
+// (-DMINMACH_GIT_REV=..., -DMINMACH_BUILD_TYPE=...); "unknown" when absent
+// (e.g. a tarball build outside git).
 #ifndef MINMACH_GIT_REV
 #define MINMACH_GIT_REV "unknown"
 #endif
+#ifndef MINMACH_BUILD_TYPE
+#define MINMACH_BUILD_TYPE "unknown"
+#endif
 
-// Stamps a BENCH_*.json artifact with its schema version and the producing
-// revision. Call immediately after the top-level begin_object() so the
+// Stamps a BENCH_*.json artifact with its schema version, the producing
+// revision and build type, and the hardware thread count of the machine
+// that ran it. Call immediately after the top-level begin_object() so the
 // stamp leads the document.
 inline void write_bench_stamp(obs::JsonWriter& json) {
   json.key("schema").value(kBenchJsonSchema);
   json.key("git_rev").value(std::string_view(MINMACH_GIT_REV));
+  json.key("build_type").value(std::string_view(MINMACH_BUILD_TYPE));
+  json.key("cpus").value(
+      static_cast<std::int64_t>(std::thread::hardware_concurrency()));
 }
 
 // Per-driver run context. Reads the common --report / --trace flags (so
@@ -133,9 +141,9 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 //
 // Also reads --cache {on,off} / --cache-capacity N and configures the
 // global affine-canonical OPT cache accordingly, so every driver can A/B
-// the query engine. Default off: the o01/m01 substrate benches measure
-// legacy-vs-fast ratios that a shared verdict cache would collapse, so
-// caching is strictly opt-in per run.
+// the query engine. Default off: a shared verdict cache would hide the
+// oracle work the o01/m01 benches measure, so caching is strictly opt-in
+// per run.
 //
 // Also reads --simd {auto,avx2,scalar} and sets the global kernel dispatch
 // mode (util::simd::set_mode, DESIGN.md §12). Default auto: use the AVX2
@@ -148,8 +156,8 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 // Also reads --bounds {on,off} (default off) and sets the global bound-tier
 // gate (set_bounds_tier_enabled, DESIGN.md §14). Off keeps every driver
 // measuring the exact oracle alone -- the certified sandwich would answer
-// most probes for free and collapse the legacy-vs-fast and cache A/B
-// ratios; b01_bound_tier turns it on explicitly. OPT values and verdicts
+// most probes for free and collapse the cache A/B ratios; b01_bound_tier
+// turns it on explicitly. OPT values and verdicts
 // are identical either way.
 //
 // Also reads --profile {on,off} (default off) and arms the span profiler +
@@ -207,10 +215,9 @@ class Run {
     }
     util::simd::set_mode(simd_mode);
     // Bound tier (--bounds, DESIGN.md §14): default OFF in the drivers --
-    // the library default is on, but the committed baselines, the o01/m01
-    // legacy-vs-fast ratios, and q01's cache probe-ratio check all measure
-    // the exact tier, which a sandwich that answers probes for free would
-    // collapse. b01_bound_tier A/Bs the tier explicitly.
+    // the library default is on, but the committed baselines and q01's
+    // cache probe-ratio check measure the exact tier, which a sandwich
+    // that answers probes for free would collapse. b01_bound_tier A/Bs the tier explicitly.
     set_bounds_tier_enabled(parse_onoff(cli, "bounds", false));
     corpus_path_ = path_flag(cli, "corpus");
     const std::string cache_file = path_flag(cli, "cache-file");

@@ -1,6 +1,5 @@
-// Q1 -- query engine: the affine-canonical OPT cache and speculative
-// parallel probing (DESIGN.md section 11) against the plain sequential
-// oracle, on the workloads they were built for.
+// Q1 -- query engine: the affine-canonical OPT cache (DESIGN.md section 11)
+// against the uncached oracle, on the workloads it was built for.
 //
 // Three phases, each cross-checked for exact result equality:
 //
@@ -18,17 +17,14 @@
 //       without clearing the cache. Enforced >= 1.5x wall clock with the
 //       cache on at full size (recorded, not enforced, at smoke sizes --
 //       wall ratios on tiny inputs are scheduler noise).
-//   speculation      : speculate=3 vs the sequential search, cache off so
-//       probe counts are comparable. Enforced: identical machine counts,
-//       and total speculative probes <= sequential probes plus the
-//       (live - 1) x rounds overhead bound (each round retires at most
-//       live - 1 candidates that monotonicity already implied).
+//   exactness        : every instance of both phases (cache off) against
+//       the dense reference network of tests/reference_oracle.hpp.
+//       Enforced: identical machine counts.
 //
 // The phases configure the global OptCache themselves (the --cache flag
-// still parses, but this driver A/Bs both modes in one run). Cache and
-// speculation tallies are execution-class, so the --report bytes stay
-// identical whatever this driver does to the cache. Writes --out
-// (BENCH_query.json).
+// still parses, but this driver A/Bs both modes in one run). Cache
+// tallies are execution-class, so the --report bytes stay identical
+// whatever this driver does to the cache. Writes --out (BENCH_query.json).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,6 +44,7 @@
 #include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace {
 
@@ -137,9 +134,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
   const std::string out_path = cli.get_string("out", "BENCH_query.json");
   bench::Run ctx(cli,
-                 "Q1: query engine -- canonical OPT cache + speculation",
-                 "affine-equal subproblems are answered once; speculative "
-                 "probing stays within the sequential probe budget");
+                 "Q1: query engine -- canonical OPT cache",
+                 "affine-equal subproblems are answered once, with the "
+                 "reference oracle's answers");
   cli.check_unknown();
   bench::require(levels >= 2, "--levels must be >= 2");
   bench::require(repeats >= 1, "--repeats must be >= 1");
@@ -242,45 +239,16 @@ int main(int argc, char** argv) {
             Table::fmt(sweep_speedup, 2), full_size ? ">= 1.5" : "> 0",
             full_size ? sweep_speedup >= 1.5 : sweep_speedup > 0.0);
 
-  // --- phase C: speculative probing vs sequential search ------------------
+  // --- phase C: exactness vs the reference oracle -------------------------
   util::OptCache::global().configure(false, capacity);
-  const int live = 3;
-  std::uint64_t seq_probes = 0, spec_probes = 0, spec_rounds = 0,
-                spec_retired = 0;
-  QueryOptions sequential;
-  sequential.speculate = 0;
-  QueryOptions speculative;
-  speculative.speculate = live;
-  std::vector<Instance> probe_set = bases;
-  for (const Instance& instance : family)
-    if (instance.size() >= 8) probe_set.push_back(instance);
-  for (const Instance& instance : probe_set) {
-    QueryStats seq = query_optimal_machines_stats(instance, sequential);
-    QueryStats spec = query_optimal_machines_stats(instance, speculative);
-    bench::require(seq.machines == spec.machines,
-                   "speculation: machine counts diverge from sequential");
-    seq_probes += seq.probes;
-    spec_probes += spec.probes;
-    spec_rounds += spec.rounds;
-    spec_retired += spec.retired;
-  }
-  const std::uint64_t probe_bound =
-      seq_probes + static_cast<std::uint64_t>(live - 1) * spec_rounds;
-
-  Table spec_table({"search", "probes", "rounds", "retired"});
-  spec_table.add_row({"sequential", std::to_string(seq_probes), "-", "-"});
-  spec_table.add_row({"speculate=3", std::to_string(spec_probes),
-                      std::to_string(spec_rounds),
-                      std::to_string(spec_retired)});
-  spec_table.print(std::cout);
-  ctx.table("speculative probing (" + std::to_string(probe_set.size()) +
-                " instances, cache off)",
-            spec_table);
-  ctx.check("speculation: probes within sequential + (live-1) x rounds",
-            std::to_string(spec_probes), "<= " + std::to_string(probe_bound),
-            spec_probes <= probe_bound);
-  ctx.check("speculation: rounds launched", std::to_string(spec_rounds),
-            ">= 1", spec_rounds >= 1);
+  std::vector<Instance> exact_set = bases;
+  for (const Instance& instance : family) exact_set.push_back(instance);
+  for (const Instance& instance : exact_set)
+    bench::require(query_optimal_machines(instance) == reference_opt(instance),
+                   "exactness: query OPT diverges from the reference oracle");
+  ctx.check("exactness: every OPT equals the reference oracle's",
+            std::to_string(exact_set.size()) + " instances", "all equal",
+            true);
 
   // Leave the process-wide cache the way library users find it.
   util::OptCache::global().configure(false, capacity);
@@ -316,14 +284,8 @@ int main(int argc, char** argv) {
   json.key("speedup").value(sweep_speedup);
   json.key("threshold_enforced").value(full_size);
   json.end_object();
-  json.key("speculation").begin_object();
-  json.key("live").value(static_cast<std::int64_t>(live));
-  json.key("instances").value(static_cast<std::int64_t>(probe_set.size()));
-  json.key("sequential_probes").value(seq_probes);
-  json.key("speculative_probes").value(spec_probes);
-  json.key("rounds").value(spec_rounds);
-  json.key("retired").value(spec_retired);
-  json.key("probe_bound").value(probe_bound);
+  json.key("exactness").begin_object();
+  json.key("instances").value(static_cast<std::int64_t>(exact_set.size()));
   json.end_object();
   json.end_object();
   os << "\n";

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "minmach/algos/single_machine.hpp"
-#include "minmach/util/arena.hpp"
 
 namespace minmach {
 
@@ -83,17 +81,6 @@ bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
   static const Profile kEmpty;
   const Profile& profile =
       machine < profiles_.size() ? profiles_[machine] : kEmpty;
-  if (util::substrate_legacy()) [[unlikely]] {
-    // Seed path: replay EDF on a fresh commitment vector per probe.
-    std::vector<MachineCommitment> commitments;
-    for (const ProfileEntry& entry : profile)
-      commitments.push_back({sim.job(entry.job).release, entry.deadline,
-                             sim.remaining(entry.job)});
-    commitments.push_back(
-        {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
-    return edf_feasible_single_machine(std::move(commitments), sim.now(),
-                                       sim.speed());
-  }
   // Prefix-demand test: the slacks before the insertion point stay as they
   // are; the new entry's slack and every later one drop by the job's work.
   const Rat& deadline = sim.job(job).deadline;
@@ -117,13 +104,9 @@ std::vector<std::size_t> NonMigratoryPolicy::feasible_machines(
 
 const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(
     const Simulator& sim, JobId job) const {
-  if (util::substrate_legacy()) [[unlikely]]
-    feasible_scratch_ = feasible_machines(sim, job);  // seed: fresh vector
-  else {
-    feasible_scratch_.clear();
-    for (std::size_t m = 0; m < profiles_.size(); ++m) {
-      if (machine_can_take(sim, m, job)) feasible_scratch_.push_back(m);
-    }
+  feasible_scratch_.clear();
+  for (std::size_t m = 0; m < profiles_.size(); ++m) {
+    if (machine_can_take(sim, m, job)) feasible_scratch_.push_back(m);
   }
   return feasible_scratch_;
 }

@@ -18,8 +18,7 @@
 // advances. Admission is then a handful of comparisons, a commitment
 // subtracts p from the later slacks, and completions/misses erase an entry
 // (a miss adds its leftover work back to the later slacks); nothing is
-// replayed. Under util::substrate_legacy() admission still replays EDF
-// (edf_feasible_single_machine) on commitments read from the profile.
+// replayed.
 //
 // Subclasses only choose the machine. The provided fit rules are the
 // opponent suite for the strong lower bound (experiment E1): a lower bound
@@ -60,8 +59,7 @@ class NonMigratoryPolicy : public OnlinePolicy {
                                                            JobId job) const;
   // As above, but into a pooled buffer: the returned reference is valid
   // until the next call on this policy (any thread). The per-release hot
-  // path of every fit rule uses this; under util::substrate_legacy() it
-  // still fills a fresh vector, matching the seed.
+  // path of every fit rule uses this.
   [[nodiscard]] const std::vector<std::size_t>& feasible_machines_pooled(
       const Simulator& sim, JobId job) const;
   // Exact admission test for a job at its release.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "minmach/util/arena.hpp"
 
 namespace minmach {
 
@@ -24,14 +23,11 @@ bool edf_feasible_single_machine(std::vector<MachineCommitment> commitments,
 
   // Event-driven EDF: at each step run the released commitment with the
   // earliest deadline until it finishes or the next release. The ready list
-  // is pooled per thread (legacy keeps the seed's fresh vector); the test
-  // never re-enters itself, so one slot suffices.
+  // is pooled per thread; the test never re-enters itself, so one slot
+  // suffices.
   Rat now = start;
   std::size_t next_release = 0;
-  std::vector<std::size_t> ready_local;
-  static thread_local std::vector<std::size_t> ready_pooled;
-  std::vector<std::size_t>& ready =
-      util::substrate_legacy() ? ready_local : ready_pooled;
+  static thread_local std::vector<std::size_t> ready;
   ready.clear();
   while (true) {
     while (next_release < commitments.size() &&

@@ -1,9 +1,7 @@
 #include "minmach/flow/feasibility.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -176,7 +174,6 @@ Network build_network(const Instance& instance, std::int64_t machines) {
 struct BuildCounters {
   std::uint64_t tree_edges = 0;    // job -> canonical segment-tree node
   std::uint64_t direct_edges = 0;  // job -> capped leaf (|segment| < p_j)
-  std::uint64_t dense_edges = 0;   // legacy job -> segment (compress off)
   std::size_t segments = 0;
 };
 
@@ -193,11 +190,6 @@ struct OracleNet {
   Cap total_work{0};
   Cap routed{0};  // flow currently in the graph (accumulates across warm probes)
   std::int64_t flow_m = 0;  // machine count the routed flow was admitted under
-  // OracleOptions::simd resolved at construction: build() may batch the
-  // total-work sum, sweep_bound() may run the int64 SIMD kernel, and the
-  // constructor pins the Dinic level kernel accordingly. Results are
-  // identical either way.
-  bool accel = false;
   std::size_t source = 0;
   std::size_t sink = 0;
 
@@ -207,9 +199,7 @@ struct OracleNet {
     Cap length;               // sum of covered segment lengths
   };
   // Scratch for the segment-tree build, kept across builds (and across
-  // pooled-Impl leases) so a rebuild only clears, never reallocates. Under
-  // util::substrate_legacy() build() uses fresh locals instead, matching
-  // the seed's per-build vectors.
+  // pooled-Impl leases) so a rebuild only clears, never reallocates.
   struct BuildScratch {
     std::vector<TreeNode> tree;
     std::vector<std::size_t> leaf_node;
@@ -261,10 +251,10 @@ struct OracleNet {
   };
   DynState dyn;
 
-  void build(bool compress, BuildCounters& counters);
+  void build(BuildCounters& counters);
   // Returns the verdict; sets `warm` to whether the probe reused the
   // routed flow (capacities only grew) or reset it.
-  bool probe(std::int64_t machines, bool allow_warm, bool& warm);
+  bool probe(std::int64_t machines, bool& warm);
   [[nodiscard]] std::int64_t sweep_bound() const;
 
   // Dynamic layout (definitions below build()).
@@ -301,7 +291,6 @@ struct OracleNet {
     total_work = Cap(0);
     routed = Cap(0);
     flow_m = 0;
-    accel = false;
     source = 0;
     sink = 0;
     dyn.reset();
@@ -309,49 +298,21 @@ struct OracleNet {
 };
 
 template <typename Cap>
-void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
+void OracleNet<Cap>::build(BuildCounters& counters) {
   const std::size_t n = release.size();
   const std::size_t segments = points.empty() ? 0 : points.size() - 1;
   counters.segments = segments;
   seg_length.resize(segments);
   for (std::size_t k = 0; k < segments; ++k)
     seg_length[k] = points[k + 1] - points[k];
-  total_work = Cap(0);
   if constexpr (std::is_same_v<Cap, Rat>) {
-    if (accel) {
-      total_work = rat_batch::sum(processing.data(), processing.size(),
-                                  util::simd::active());
-    } else {
-      for (const Cap& p : processing) total_work += p;
-    }
+    total_work = rat_batch::sum(processing.data(), processing.size(),
+                                util::simd::active());
   } else {
+    total_work = Cap(0);
     for (const Cap& p : processing) total_work += p;
   }
   source = 0;
-
-  if (!compress) {
-    // Legacy dense layout (the pre-compression oracle, kept bit-for-bit as
-    // the differential baseline): 0 = source, 1..n = jobs, n+1..n+segments,
-    // last = sink; containment scanned per (job, segment) pair.
-    sink = n + segments + 1;
-    if (util::substrate_legacy())
-      graph = Dinic<Cap>(n + segments + 2);  // seed: fresh network per build
-    else
-      graph.reinit(n + segments + 2);
-    sink_handle.clear();
-    for (std::size_t k = 0; k < segments; ++k)
-      sink_handle.push_back(graph.add_edge(n + 1 + k, sink, Cap(0)));
-    for (std::size_t j = 0; j < n; ++j) {
-      graph.add_edge(source, 1 + j, processing[j]);
-      for (std::size_t k = 0; k < segments; ++k) {
-        if (release[j] <= points[k] && points[k + 1] <= deadline[j]) {
-          graph.add_edge(1 + j, n + 1 + k, seg_length[k]);
-          ++counters.dense_edges;
-        }
-      }
-    }
-    return;
-  }
 
   // Segment-tree layout. The per-(job, segment) capacity |segment| can
   // only bind where |segment| < p_j; those pairs keep direct capped edges.
@@ -361,9 +322,7 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
   // to the leaves. DESIGN.md proves this network max-flow-equivalent to
   // the dense one.
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const bool legacy = util::substrate_legacy();
-  BuildScratch local;  // legacy baseline: fresh vectors every build
-  BuildScratch& s = legacy ? local : scratch;
+  BuildScratch& s = scratch;
   std::vector<TreeNode>& tree = s.tree;
   tree.clear();
   std::vector<std::size_t>& leaf_node = s.leaf_node;
@@ -396,10 +355,7 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
   // Node layout: 0 = source, 1..n = jobs, n+1..n+|tree| = tree nodes
   // (leaves included), last = sink.
   sink = n + tree.size() + 1;
-  if (util::substrate_legacy())
-    graph = Dinic<Cap>(n + tree.size() + 2);  // seed: fresh network per build
-  else
-    graph.reinit(n + tree.size() + 2);
+  graph.reinit(n + tree.size() + 2);
   auto tree_graph_node = [n](std::size_t id) { return n + 1 + id; };
   // Internal nodes forward capacity to their children. The edges carry
   // total_work, an upper bound on any source->sink flow, so they never
@@ -460,9 +416,7 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
 
   // Leaf positions with |segment| < p_j so far, kept sorted by position.
   // The sorted-vector insert is O(|capped|) per element but |capped| <=
-  // segments and the pooled storage makes the whole loop allocation-free;
-  // legacy keeps the seed's node-per-insert std::set.
-  std::set<std::size_t> capped_set;
+  // segments and the pooled storage makes the whole loop allocation-free.
   std::vector<std::size_t>& capped = s.capped;
   capped.clear();
   std::size_t next_leaf = 0;
@@ -470,11 +424,7 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
     while (next_leaf < segments &&
            seg_length[leaves_by_length[next_leaf]] < processing[j]) {
       const std::size_t pos = leaves_by_length[next_leaf++];
-      if (legacy)
-        capped_set.insert(pos);
-      else
-        capped.insert(std::lower_bound(capped.begin(), capped.end(), pos),
-                      pos);
+      capped.insert(std::lower_bound(capped.begin(), capped.end(), pos), pos);
     }
     const std::size_t lo = static_cast<std::size_t>(
         std::lower_bound(points.begin(), points.end(), release[j]) -
@@ -483,20 +433,13 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
         std::lower_bound(points.begin(), points.end(), deadline[j]) -
         points.begin());
     std::size_t run_start = lo;
-    auto visit_capped = [&](std::size_t pos) {
+    for (auto it = std::lower_bound(capped.begin(), capped.end(), lo);
+         it != capped.end() && *it < hi; ++it) {
+      const std::size_t pos = *it;
       graph.add_edge(1 + j, tree_graph_node(leaf_node[pos]), seg_length[pos]);
       ++counters.direct_edges;
       if (run_start < pos) cover(0, run_start, pos, j);
       run_start = pos + 1;
-    };
-    if (legacy) {
-      for (auto it = capped_set.lower_bound(lo);
-           it != capped_set.end() && *it < hi; ++it)
-        visit_capped(*it);
-    } else {
-      for (auto it = std::lower_bound(capped.begin(), capped.end(), lo);
-           it != capped.end() && *it < hi; ++it)
-        visit_capped(*it);
     }
     if (run_start < hi) cover(0, run_start, hi, j);
   }
@@ -737,9 +680,8 @@ void OracleNet<Cap>::splice_remove(std::size_t slot) {
 }
 
 template <typename Cap>
-bool OracleNet<Cap>::probe(std::int64_t machines, bool allow_warm,
-                           bool& warm) {
-  warm = allow_warm && machines >= flow_m;
+bool OracleNet<Cap>::probe(std::int64_t machines, bool& warm) {
+  warm = machines >= flow_m;
   if (warm) {
     // Sink capacities only grow, so the routed flow stays feasible and
     // max_flow() resumes from the residual graph.
@@ -769,7 +711,7 @@ template <typename Cap>
 std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
                                 const std::vector<Cap>& deadline,
                                 const std::vector<Cap>& processing,
-                                const std::vector<Cap>& points, bool accel) {
+                                const std::vector<Cap>& points) {
   // Left-endpoint budget: caps the sweep at O(budget * (n + S)). The bound
   // stays certified (subset of intervals); any slack vs the exact value is
   // absorbed by a few extra warm ascending probes, which cost one residual
@@ -785,7 +727,7 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
     // values fit int64 by the try_integer_grid guard; the kernel spills
     // back to this generic path internally if its tighter overflow guard
     // rejects the instance. Bit-identical results either way.
-    if (accel && util::simd::active()) {
+    if (util::simd::active()) {
       auto narrow = [](const std::vector<__int128>& v) {
         std::vector<std::int64_t> out(v.size());
         for (std::size_t i = 0; i < v.size(); ++i)
@@ -813,7 +755,7 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
 
 template <typename Cap>
 std::int64_t OracleNet<Cap>::sweep_bound() const {
-  return sweep_bound_arrays(release, deadline, processing, points, accel);
+  return sweep_bound_arrays(release, deadline, processing, points);
 }
 
 // Live view of a (possibly edited) net: the live slots' values plus their
@@ -849,7 +791,6 @@ LiveArrays<Cap> live_view(const OracleNet<Cap>& net,
 // ---- incremental oracle ------------------------------------------------
 
 struct FeasibilityOracle::Impl {
-  OracleOptions options;
   bool empty = false;
   bool well_formed = true;
   bool integer_mode = false;
@@ -914,8 +855,7 @@ struct FeasibilityOracle::Impl {
   // The public Instance constructor's normalization body (grid conversion,
   // density bound, fingerprint), shared with the JobColumns constructor's
   // fallback path. Assumes a freshly reset Impl.
-  void init_from_instance(const Instance& instance,
-                          const OracleOptions& options);
+  void init_from_instance(const Instance& instance);
   JobId insert(const Job& job);
   void remove(JobId id);
   void enter_dyn_mode();
@@ -931,16 +871,12 @@ struct FeasibilityOracle::Impl {
     sandwich_cache = BoundSandwich{};
     has_fp = false;  // the fingerprint named the pre-edit instance
   }
-  [[nodiscard]] bool bounds_active() const {
-    return options.bounds && bounds_tier_enabled();
-  }
   const BoundSandwich& sandwich();
   [[nodiscard]] Instance materialize() const;
 
   // Restores the default-constructed logical state (everything the public
   // constructor assumes) while keeping container storage.
   void reset() {
-    options = OracleOptions{};
     empty = false;
     well_formed = true;
     integer_mode = false;
@@ -971,12 +907,12 @@ struct FeasibilityOracle::Impl {
 
 namespace {
 // One pooled oracle Impl per thread, leased by at most one live oracle at a
-// time; nested oracles and the legacy baseline fall back to fresh Impls.
+// time; nested oracles fall back to fresh Impls.
 thread_local bool g_oracle_pool_busy = false;
 }  // namespace
 
 auto FeasibilityOracle::acquire_impl() -> std::unique_ptr<Impl, ImplDeleter> {
-  if (!g_oracle_pool_busy && !util::substrate_legacy()) {
+  if (!g_oracle_pool_busy) {
     thread_local std::unique_ptr<Impl> slot;
     if (!slot) slot = std::make_unique<Impl>();
     g_oracle_pool_busy = true;
@@ -1002,19 +938,16 @@ void FeasibilityOracle::ImplDeleter::operator()(Impl* impl) const noexcept {
   if (impl->owner_busy == &g_oracle_pool_busy) g_oracle_pool_busy = false;
 }
 
-FeasibilityOracle::FeasibilityOracle(const Instance& instance,
-                                     const OracleOptions& options)
+FeasibilityOracle::FeasibilityOracle(const Instance& instance)
     : impl_(acquire_impl()) {
   // Normalization only (grid conversion, density bound, fingerprint); the
   // network build has its own span inside ensure_network().
   obs::ProfileSpan span("oracle_norm");
-  impl_->init_from_instance(instance, options);
+  impl_->init_from_instance(instance);
 }
 
-void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
-                                                 const OracleOptions& options) {
+void FeasibilityOracle::Impl::init_from_instance(const Instance& instance) {
   Impl& im = *this;
-  im.options = options;
   im.empty = instance.empty();
   if (im.empty) return;
   im.well_formed = instance.well_formed();
@@ -1032,7 +965,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
     reg.counter("cache.fingerprints").add();
   }
 
-  const bool accel = options.simd && util::simd::active();
   const std::size_t n = instance.size();
 
   // SIMD fast path: when every field is a small integer the grid is the
@@ -1043,7 +975,7 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
   // seed path value for value.
   IntegerGrid grid;
   std::int64_t small_total = 0;
-  if (accel) {
+  if (util::simd::active()) {
     SmallGrid small = try_small_integer_grid(instance);
     grid = std::move(small.grid);
     small_total = small.total_work;
@@ -1063,7 +995,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
     im.integer_mode = true;
     im.grid_scale = grid.scale;  // later insert_job() scales onto this grid
     OracleNet<__int128>& net = im.inet;
-    net.accel = accel;
     net.release.assign(grid.release.begin(), grid.release.end());
     net.deadline.assign(grid.deadline.begin(), grid.deadline.end());
     net.processing.assign(grid.processing.begin(), grid.processing.end());
@@ -1087,7 +1018,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
     net.points.assign(ipoints.begin(), ipoints.end());
   } else {
     OracleNet<Rat>& net = im.rnet;
-    net.accel = accel;
     net.release.reserve(n);
     net.deadline.reserve(n);
     net.processing.reserve(n);
@@ -1103,12 +1033,10 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
   // OPT cache skips the build entirely.
 }
 
-FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
-                                     const OracleOptions& options)
+FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
     : impl_(acquire_impl()) {
   obs::ProfileSpan span("oracle_norm");
   Impl& im = *impl_;
-  im.options = options;
   im.empty = columns.count == 0;
   if (im.empty) return;
   const std::size_t n = columns.count;
@@ -1140,7 +1068,7 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
     for (std::size_t j = 0; j < n; ++j)
       fallback.add_job({Rat(columns.release[j]), Rat(columns.deadline[j]),
                         Rat(columns.processing[j])});
-    im.init_from_instance(fallback, options);
+    im.init_from_instance(fallback);
     return;
   }
 
@@ -1159,7 +1087,6 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
 
   im.integer_mode = true;
   OracleNet<__int128>& net = im.inet;
-  net.accel = options.simd && util::simd::active();
   net.release.assign(columns.release, columns.release + n);
   net.deadline.assign(columns.deadline, columns.deadline + n);
   net.processing.assign(columns.processing, columns.processing + n);
@@ -1184,49 +1111,36 @@ void FeasibilityOracle::Impl::ensure_network() {
   obs::ProfileSpan span("oracle_build");
   BuildCounters counters;
   // An edited oracle compacts retired slots away before any (re)build --
-  // both layouts want dense all-live arrays -- and with options.dynamic
-  // adopts the flat splice-able layout so later edits patch in place.
-  // The stale-mark fallback (options.dynamic off) lands here too and
-  // rebuilds the ordinary batch network over the live set.
-  if (dyn_mode) compact_slots();
-  const bool dynamic_layout = dyn_mode && options.dynamic;
-  if (integer_mode) {
-    if (dynamic_layout)
+  // both layouts want dense all-live arrays -- and adopts the flat
+  // splice-able layout so later edits patch in place.
+  if (dyn_mode) {
+    compact_slots();
+    if (integer_mode)
       inet.build_dynamic(counters);
     else
-      inet.build(options.compress, counters);
-    inet.graph.set_level_kernel(inet.accel ? -1 : 0);
-  } else {
-    if (dynamic_layout)
       rnet.build_dynamic(counters);
-    else
-      rnet.build(options.compress, counters);
-    rnet.graph.set_level_kernel(rnet.accel ? -1 : 0);
+  } else if (integer_mode) {
+    inet.build(counters);
+  } else {
+    rnet.build(counters);
   }
 
   obs::Registry& registry = obs::Registry::global();
   registry.counter("oracle.builds").add();
-  if (dynamic_layout) {
+  if (dyn_mode)
     registry.counter("dyn.rebuilds").add();
-    registry.counter("oracle.direct_edges").add(counters.direct_edges);
-  } else if (options.compress) {
+  else
     registry.counter("oracle.tree_edges").add(counters.tree_edges);
-    registry.counter("oracle.direct_edges").add(counters.direct_edges);
-  } else {
-    registry.counter("oracle.dense_edges").add(counters.dense_edges);
-  }
+  registry.counter("oracle.direct_edges").add(counters.direct_edges);
   if (obs::trace_enabled()) {
     obs::trace_event("oracle", "build",
                      {{"jobs", job_count},
                       {"segments", static_cast<std::int64_t>(counters.segments)},
                       {"integer_mode", integer_mode},
-                      {"compressed", options.compress},
                       {"tree_edges",
                        static_cast<std::int64_t>(counters.tree_edges)},
                       {"direct_edges",
                        static_cast<std::int64_t>(counters.direct_edges)},
-                      {"dense_edges",
-                       static_cast<std::int64_t>(counters.dense_edges)},
                       {"load_lb", density_lb}});
   }
 }
@@ -1305,8 +1219,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
       if (integer_mode) {
         const LiveArrays<__int128> v = live_view(inet, slot_live);
         lo = std::max(lo, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             inet.accel));
+                                             v.processing, v.points));
       } else {
         const LiveArrays<Rat> v = live_view(rnet, slot_live);
         lo = std::max(lo, prefiltered_sweep_bound(v.release, v.deadline,
@@ -1323,7 +1236,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   }
   s.certificate.density_lb = density_lb;
   s.certificate.load_lb = lo;
-  if (options.sweep_bound && !lb_cache) lb_cache = lo;
+  if (!lb_cache) lb_cache = lo;
   lo = std::max(lo, max_infeasible + 1);
   std::int64_t hi = min_feasible;
 
@@ -1389,13 +1302,11 @@ bool FeasibilityOracle::Impl::probe(std::int64_t machines) {
       // re-augments only the deficit the edit opened).
       obs::ProfileSpan repair("flow_repair");
       pending_repair = false;
-      result = integer_mode
-                   ? inet.probe(machines, options.warm_start, warm)
-                   : rnet.probe(machines, options.warm_start, warm);
+      result = integer_mode ? inet.probe(machines, warm)
+                            : rnet.probe(machines, warm);
     } else {
-      result = integer_mode
-                   ? inet.probe(machines, options.warm_start, warm)
-                   : rnet.probe(machines, options.warm_start, warm);
+      result = integer_mode ? inet.probe(machines, warm)
+                            : rnet.probe(machines, warm);
     }
   }
   registry.counter(warm ? "oracle.warm_probes" : "oracle.cold_probes").add();
@@ -1417,7 +1328,7 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
   if (lb_cache) return *lb_cache;
   refresh_dyn_bounds();
   std::int64_t lb = empty ? 0 : density_lb;
-  if (options.sweep_bound && !empty && well_formed) {
+  if (!empty && well_formed) {
     obs::ProfileSpan span("sweep_bound");
     obs::Registry& registry = obs::Registry::global();
     obs::ScopedTimer timer(registry.timing("oracle.sweep_ns"));
@@ -1429,21 +1340,17 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
       if (integer_mode) {
         const LiveArrays<__int128> v = live_view(inet, slot_live);
         lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             inet.accel));
+                                             v.processing, v.points));
       } else {
         const LiveArrays<Rat> v = live_view(rnet, slot_live);
         lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             rnet.accel));
+                                             v.processing, v.points));
       }
     } else {
       lb = std::max(lb, integer_mode ? inet.sweep_bound() : rnet.sweep_bound());
     }
     // The sweep bound is certified (Theorem 1's easy direction), so every
-    // machine count below it is infeasible without probing. The legacy
-    // path skips this to stay probe-for-probe faithful to the pre-PR
-    // search.
+    // machine count below it is infeasible without probing.
     max_infeasible = std::max(max_infeasible, lb - 1);
   }
   lb_cache = lb;
@@ -1476,10 +1383,8 @@ void FeasibilityOracle::Impl::enter_dyn_mode() {
 // and are compacted away at the next build.
 void FeasibilityOracle::Impl::fall_back_to_rational() {
   obs::Registry::global().counter("dyn.grid_fallbacks").add();
-  const bool accel = inet.accel;
   const std::size_t n = inet.release.size();
   rnet.reset_net();
-  rnet.accel = accel;
   rnet.release.reserve(n);
   rnet.deadline.reserve(n);
   rnet.processing.reserve(n);
@@ -1607,11 +1512,6 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
     integer_mode =
         small(job.release) && small(job.deadline) && small(job.processing);
     grid_scale = Rat(1);
-    const bool accel = options.simd && util::simd::active();
-    if (integer_mode)
-      inet.accel = accel;
-    else
-      rnet.accel = accel;
   }
   enter_dyn_mode();
 
@@ -1682,9 +1582,7 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
         pending_repair = true;
       }
     };
-    if (!options.dynamic) {
-      network_built = false;  // stale-mark: next probe rebuilds (live set)
-    } else if (integer_mode && inet.dyn.active) {
+    if (integer_mode && inet.dyn.active) {
       inet.splice_insert(slot);
       after_splice(inet);
     } else if (!integer_mode && rnet.dyn.active) {
@@ -1742,9 +1640,7 @@ void FeasibilityOracle::Impl::remove(JobId id) {
         pending_repair = true;
       }
     };
-    if (!options.dynamic) {
-      network_built = false;
-    } else if (integer_mode && inet.dyn.active) {
+    if (integer_mode && inet.dyn.active) {
       inet.splice_remove(slot);
       after_splice(inet);
     } else if (!integer_mode && rnet.dyn.active) {
@@ -1764,7 +1660,7 @@ bool FeasibilityOracle::feasible(std::int64_t machines) {
     obs::Registry::global().counter("oracle.memo_hits").add();
     return machines >= im.min_feasible;
   }
-  if (im.bounds_active()) {
+  if (bounds_tier_enabled()) {
     // First sandwich use folds [lo, hi) into the memo, so only the
     // triggering call lands here; later out-of-bracket probes are memo
     // hits. Either way the answer is certified without touching Dinic.
@@ -1806,7 +1702,7 @@ std::int64_t FeasibilityOracle::load_lower_bound() const {
 BoundSandwich FeasibilityOracle::bound_sandwich() {
   Impl& im = *impl_;
   if (im.empty || !im.well_formed) return {};
-  if (im.bounds_active()) return im.sandwich();
+  if (bounds_tier_enabled()) return im.sandwich();
   // Tier off: the degenerate bracket the pre-tier search used -- certified
   // infeasible strictly below the load bound / memo floor, certified
   // feasible at min_feasible (initially n, one job per machine).
@@ -1858,34 +1754,22 @@ std::int64_t FeasibilityOracle::optimal_machines() {
   // Bound tier: the sandwich folds into the memo, so a pinched sandwich
   // makes both loops below vacuous (OPT returned with zero probes and no
   // network build) and an open one pre-narrows the bracket to [lo, hi).
-  if (im.bounds_active() && !memo_tight) (void)im.sandwich();
+  if (bounds_tier_enabled() && !memo_tight) (void)im.sandwich();
   obs::Registry& registry = obs::Registry::global();
   const std::int64_t lb =
       memo_tight ? im.max_infeasible + 1 : im.lower_bound();
 
-  if (!im.options.warm_start) {
-    // Pre-warm-start search: gallop by doubling from the load lower bound
-    // until feasible (n always is), then binary-search the bracket;
-    // feasible() keeps the bracket in its memo.
-    std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
-    while (m < im.job_count && !feasible(m)) {
-      registry.counter("oracle.gallop_steps").add();
-      m = std::min<std::int64_t>(im.job_count, 2 * m);
-    }
-    if (m >= im.job_count) (void)feasible(m);  // records the memo endpoint
-  } else {
-    // Warm ascent: probe lb, lb+1, lb+3, lb+7, ... -- every probe is at a
-    // higher m than the last, so each one extends the routed flow instead
-    // of re-solving. With the sweep bound the first probe usually
-    // succeeds and certifies OPT outright (everything below lb is
-    // infeasible by the load argument).
-    std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
-    std::int64_t step = 1;
-    while (m < im.min_feasible && !feasible(m)) {
-      registry.counter("oracle.gallop_steps").add();
-      m = std::min<std::int64_t>(im.min_feasible, m + step);
-      step *= 2;
-    }
+  // Warm ascent: probe lb, lb+1, lb+3, lb+7, ... -- every probe is at a
+  // higher m than the last, so each one extends the routed flow instead of
+  // re-solving. With the sweep bound the first probe usually succeeds and
+  // certifies OPT outright (everything below lb is infeasible by the load
+  // argument).
+  std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
+  std::int64_t step = 1;
+  while (m < im.min_feasible && !feasible(m)) {
+    registry.counter("oracle.gallop_steps").add();
+    m = std::min<std::int64_t>(im.min_feasible, m + step);
+    step *= 2;
   }
   // Close any remaining bracket (overshot gallop): descending probes reset
   // the flow (capacities shrink), so these are the cold ones.

@@ -25,80 +25,26 @@ struct FlowAllocation {
   std::vector<std::vector<Rat>> per_job;
 };
 
-// Tuning knobs for FeasibilityOracle. The defaults are the fast path; the
-// all-off combination reproduces the pre-compression oracle exactly (dense
-// per-segment edges, cold probes, density-only lower bound) and is kept as
-// the differential-test reference and the bench baseline.
-struct OracleOptions {
-  // Segment-tree edge compression. A job's per-segment cap |segment| can
-  // only bind on segments shorter than its processing time; the job gets
-  // direct capped edges to those and O(log S) segment-tree edges covering
-  // the rest (where the cap is vacuous), which is max-flow-equivalent to
-  // the dense bipartite network (see DESIGN.md) but O(n log S + S) edges
-  // when processing times dominate segment lengths.
-  bool compress = true;
-  // Keep the routed flow across probes with growing machine counts: sink
-  // capacities only grow with m, so the flow stays feasible and the probe
-  // augments the residual instead of re-solving from scratch. Descending
-  // probes still reset (capacities shrink below the routed flow).
-  bool warm_start = true;
-  // Start the OPT search from the O(n^2) sweep single-interval load bound
-  // (usually exact) instead of only ceil(total work / span).
-  bool sweep_bound = true;
-  // Dispatch the SIMD/bit-parallel kernel layer (DESIGN.md §12): the int64
-  // sweep kernel, the bitmap Dinic level BFS, and the small-integer grid
-  // fast path in the constructor. ANDed with the global runtime mode
-  // (util::simd::active(), driven by the benches' --simd flag); verdicts,
-  // OPT values, and witnesses are bit-identical either way -- only wall
-  // clock and execution-class metrics move.
-  bool simd = true;
-  // Bound tier (DESIGN.md §14): before touching Dinic, compute a certified
-  // sandwich lo <= OPT <= hi -- density + SIMD sweep from below
-  // (core/bounds.hpp), a validator-audited packing witness from above
-  // (algos/pack_ub.hpp). A pinched sandwich (lo == hi) answers OPT without
-  // even building the flow network; otherwise the search starts from the
-  // pre-narrowed bracket and out-of-bracket probes are answered for free.
-  // ANDed with the global runtime gate bounds_tier_enabled() (the benches
-  // default it off so baselines keep measuring the exact tier alone).
-  // Verdicts and OPT values are bit-identical either way -- both sides are
-  // certified -- only probe counts and wall clock move.
-  bool bounds = true;
-  // Fully-dynamic edits (DESIGN.md §15): insert_job()/remove_job() splice
-  // the live Horn network in place -- patch job edges and sink caps for
-  // only the affected event-point range, drain the removed flow, and let
-  // the next probe re-augment warm from the residual -- instead of
-  // rebuilding cold. Off, edits still work but mark the network stale, so
-  // the next probe pays a full rebuild over the live job set (the
-  // differential-test reference for the splice path). Never-edited oracles
-  // are unaffected either way: the dynamic layout is only adopted on the
-  // first edit.
-  bool dynamic = true;
-
-  [[nodiscard]] static OracleOptions legacy() {
-    return {false, false, false, false, false, false};
-  }
-};
-
 // Reusable per-instance feasibility oracle. The Horn network depends on the
 // machine count only through the segment->sink capacities machines*|segment|,
 // so the oracle normalizes the instance (integer grid when denominators
 // allow, exact rationals otherwise) and builds the network ONCE; each probe
-// retunes the sink capacities. With the default options the network is
-// segment-tree-compressed, ascending probes warm-start from the previous
-// flow, and the search opens at the sweep load lower bound -- so OPT
-// typically costs one network build plus roughly one max-flow in total.
-// Verdicts are memoized and feasible(m) is monotone in m.
+// retunes the sink capacities. The network is segment-tree-compressed,
+// ascending probes warm-start from the previous flow, and the search opens
+// at the sweep load lower bound -- so OPT typically costs one network build
+// plus roughly one max-flow in total. Verdicts are memoized and feasible(m)
+// is monotone in m. The SIMD kernels follow the global util::simd mode and
+// the bound tier the global bounds_tier_enabled() gate; neither moves an
+// answer.
 //
 // When the global OPT cache is enabled (util::OptCache::global(), see
 // DESIGN.md §11), the constructor fingerprints the instance's affine
 // canonical form and feasible()/optimal_machines() consult the cache before
 // probing, publishing fresh verdicts back. Verdicts are exact properties of
-// the instance (identical under every OracleOptions combination), so
-// results are byte-identical with the cache on or off.
+// the instance, so results are byte-identical with the cache on or off.
 class FeasibilityOracle {
  public:
-  explicit FeasibilityOracle(const Instance& instance,
-                             const OracleOptions& options = {});
+  explicit FeasibilityOracle(const Instance& instance);
   // Zero-copy construction from int64 SoA columns (typically an mmap'd
   // corpus InstanceView, store/corpus.hpp): the columns are adopted as the
   // integer grid directly -- no Instance, no rational normalization. The
@@ -109,8 +55,7 @@ class FeasibilityOracle {
   // arrays during construction and need not outlive the call. Values
   // outside the integer fast path's 62-bit guard fall back to the exact
   // path, reproducing the Instance constructor bit for bit.
-  explicit FeasibilityOracle(const JobColumns& columns,
-                             const OracleOptions& options = {});
+  explicit FeasibilityOracle(const JobColumns& columns);
   ~FeasibilityOracle();
   FeasibilityOracle(FeasibilityOracle&&) noexcept;
   FeasibilityOracle& operator=(FeasibilityOracle&&) noexcept;
@@ -125,11 +70,9 @@ class FeasibilityOracle {
   // The oracle's job set becomes mutable: insert_job admits a new job and
   // returns its stable id, remove_job retires one. Ids for jobs from the
   // constructor instance are their indices there; inserted jobs get the
-  // next unused id. With options.dynamic (the default) an already-built
-  // network is spliced in place and the routed flow repaired warm; with it
-  // off the next probe rebuilds from scratch over the live set. Either
-  // way every verdict afterwards is exactly the batch oracle's on the live
-  // job set, and the monotone memo carries across the edit via the sound
+  // next unused id. An already-built network is spliced in place and the
+  // routed flow repaired warm. Every verdict afterwards is exactly the
+  // batch oracle's on the live job set, and the monotone memo carries across the edit via the sound
   // shifts: an insert can only grow OPT, and by at most 1 (the new job
   // alone fits one extra machine); a remove can only shrink it, by at most
   // 1 (re-adding the removed job to a schedule needs at most one machine).
@@ -149,16 +92,14 @@ class FeasibilityOracle {
 
   // A certified lower bound on OPT (>= 1 for a non-empty instance): the
   // density bound ceil(total work / span), sharpened by the sweep
-  // single-interval load bound when options.sweep_bound is set (computed
-  // lazily on first call). On instances with many event points the sweep
+  // single-interval load bound (computed lazily on first call). On instances with many event points the sweep
   // subsamples left endpoints (a budgeted, still-certified bound), so this
   // can be slightly below load_bound_single_interval().
   [[nodiscard]] std::int64_t load_lower_bound() const;
 
   // The certified sandwich lo <= OPT <= hi (computed lazily on first use
   // and folded into the verdict memo, so the oracle's own search also
-  // starts from it). With the bound tier inactive (options.bounds false or
-  // the global gate off) returns the degenerate bracket the pre-tier search
+  // starts from it). With the bound tier's global gate off returns the degenerate bracket the pre-tier search
   // effectively used -- [max(load_lower_bound(), memo floor), min known
   // feasible] -- so callers can seed searches uniformly. Empty instance:
   // {0, 0}.
@@ -166,8 +107,7 @@ class FeasibilityOracle {
 
   // Network probes this oracle actually executed (memo hits, OPT-cache
   // hits, and bound-tier short-circuits excluded). Exposed for the query
-  // engine's speculation-overhead accounting and the cache/bounds A/B
-  // benches.
+  // engine's statistics and the cache/bounds A/B benches.
   [[nodiscard]] std::uint64_t probes_executed() const;
 
  private:
@@ -175,8 +115,8 @@ class FeasibilityOracle {
   // Oracles lease a per-thread pooled Impl when it is free (so a sweep that
   // constructs one oracle per instance recycles the probe network's
   // adjacency/edge/level storage call after call, see DESIGN.md §10) and
-  // fall back to a fresh heap Impl when the pool is busy -- a nested oracle
-  // -- or under util::substrate_legacy(). The deleter returns a leased Impl
+  // fall back to a fresh heap Impl when the pool is busy -- a nested
+  // oracle. The deleter returns a leased Impl
   // to its pool instead of deleting it; an Impl released on a thread other
   // than its owner is simply retired from pooling (memory-safe, the slot
   // stays busy).

@@ -1,65 +1,16 @@
 #include "minmach/flow/query.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <optional>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "minmach/core/canonical.hpp"
 #include "minmach/obs/histogram.hpp"
-#include "minmach/obs/metrics.hpp"
 #include "minmach/obs/profile.hpp"
 #include "minmach/util/opt_cache.hpp"
 
 namespace minmach {
 
-namespace {
-
-struct Candidate {
-  std::int64_t m = 0;
-  bool feasible = false;
-};
-
-// Probes candidates[i].m on lanes[i] concurrently (candidate 0 stays on the
-// calling thread, so a one-candidate round spawns nothing). Each worker
-// drains its hot tallies before exit, keeping snapshot totals complete; the
-// first exception in candidate order is rethrown on the caller.
-void probe_round(std::vector<FeasibilityOracle>& lanes,
-                 std::vector<Candidate>& candidates) {
-  const std::size_t count = candidates.size();
-  std::vector<std::exception_ptr> errors(count);
-  auto probe_one = [&](std::size_t i) {
-    try {
-      candidates[i].feasible = lanes[i].feasible(candidates[i].m);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  if (count == 1) {
-    probe_one(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(count - 1);
-    for (std::size_t i = 1; i < count; ++i) {
-      workers.emplace_back([&probe_one, i] {
-        probe_one(i);
-        obs::drain_hot_tallies();
-      });
-    }
-    probe_one(0);
-    for (std::thread& worker : workers) worker.join();
-  }
-  for (std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-}  // namespace
-
-QueryStats query_optimal_machines_stats(const Instance& instance,
-                                        const QueryOptions& options) {
+QueryStats query_optimal_machines_stats(const Instance& instance) {
   QueryStats out;
   if (instance.empty()) return out;
   if (!instance.well_formed())
@@ -68,112 +19,24 @@ QueryStats query_optimal_machines_stats(const Instance& instance,
   obs::ScopedLatency latency("hist.query_ns");
 
   util::OptCache& cache = util::OptCache::global();
-  const bool cached = options.use_cache && cache.enabled();
-  util::Digest128 fp;
-  if (cached) {
-    fp = canonical_fingerprint(instance);
-    if (std::optional<std::int64_t> hit = cache.lookup_opt(fp)) {
+  if (cache.enabled()) {
+    if (std::optional<std::int64_t> hit =
+            cache.lookup_opt(canonical_fingerprint(instance))) {
       out.machines = *hit;
       out.cache_hit = true;
       return out;
     }
   }
-
-  const int live = std::min(options.speculate, 4);
-  if (live <= 1) {
-    // Sequential: the oracle's own galloping/binary search (which consults
-    // the verdict cache per probe and publishes the OPT value itself).
-    FeasibilityOracle oracle(instance, options.oracle);
-    out.machines = oracle.optimal_machines();
-    out.probes = oracle.probes_executed();
-    return out;
-  }
-
-  // One oracle network per lane: concurrent probes need disjoint Dinic
-  // graphs. Lane i always takes the i-th smallest candidate of a round, so
-  // each lane sees (mostly) ascending machine counts and its warm-started
-  // flow keeps paying off, like the sequential ascent.
-  std::vector<FeasibilityOracle> lanes;
-  lanes.reserve(static_cast<std::size_t>(live));
-  lanes.emplace_back(instance, options.oracle);
-  // Lanes 1+ never compute a sandwich of their own: lane 0's bracket below
-  // seeds the shared search, so per-lane packing work would be pure
-  // duplication. Their verdict memos still benefit through the bracket.
-  OracleOptions lane_options = options.oracle;
-  lane_options.bounds = false;
-  for (int i = 1; i < live; ++i) lanes.emplace_back(instance, lane_options);
-
-  // Bracket seed: with the bound tier active this is the certified sandwich
-  // (a pinched one answers OPT before any round); with it off, the
-  // degenerate bracket reproduces the pre-tier seeding exactly --
-  // [load_lower_bound() - 1, n].
-  const BoundSandwich sandwich = lanes[0].bound_sandwich();
-  std::int64_t lo = sandwich.lo - 1;  // max certified infeasible
-  std::int64_t hi = sandwich.hi;     // min known feasible
-  std::int64_t step = 1;
-  bool galloping = true;
-
-  std::vector<Candidate> round;
-  while (lo + 1 < hi) {
-    round.clear();
-    if (galloping) {
-      // The sequential warm ascent's ladder (lb, lb+1, lb+3, lb+7, ...),
-      // `live` rungs per round; the doubling step persists across rounds.
-      std::int64_t m = lo + 1;
-      for (int i = 0; i < live && m < hi; ++i) {
-        round.push_back({m, false});
-        m += step;
-        step *= 2;
-      }
-    } else {
-      // Bracket known: split (lo, hi) into live + 1 near-equal parts.
-      for (int i = 1; i <= live; ++i) {
-        std::int64_t m = lo + (hi - lo) * i / (live + 1);
-        m = std::clamp<std::int64_t>(m, lo + 1, hi - 1);
-        if (round.empty() || round.back().m != m) round.push_back({m, false});
-      }
-    }
-    {
-      obs::ProfileSpan round_span("speculate_round");
-      probe_round(lanes, round);
-    }
-    ++out.rounds;
-
-    // Fold every verdict into the bracket, then count the probes whose
-    // verdict the round's own extremes already implied by monotonicity
-    // (feasible above the smallest feasible, infeasible below the largest
-    // infeasible): those are the speculation losers, retired after the
-    // fact.
-    std::int64_t round_hi = hi;
-    std::int64_t round_lo = lo;
-    for (const Candidate& c : round) {
-      if (c.feasible)
-        round_hi = std::min(round_hi, c.m);
-      else
-        round_lo = std::max(round_lo, c.m);
-    }
-    for (const Candidate& c : round) {
-      if (c.feasible ? c.m > round_hi : c.m < round_lo) ++out.retired;
-    }
-    if (galloping && round_hi < hi) galloping = false;
-    hi = round_hi;
-    lo = round_lo;
-  }
-
-  out.machines = hi;
-  for (const FeasibilityOracle& lane : lanes)
-    out.probes += lane.probes_executed();
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("speculate.rounds").add(out.rounds);
-  registry.counter("speculate.probes").add(out.probes);
-  registry.counter("speculate.retired").add(out.retired);
-  if (cached) cache.insert_opt(fp, out.machines);
+  // The oracle's own galloping/binary search consults the verdict cache
+  // per probe and publishes the OPT value itself.
+  FeasibilityOracle oracle(instance);
+  out.machines = oracle.optimal_machines();
+  out.probes = oracle.probes_executed();
   return out;
 }
 
-std::int64_t query_optimal_machines(const Instance& instance,
-                                    const QueryOptions& options) {
-  return query_optimal_machines_stats(instance, options).machines;
+std::int64_t query_optimal_machines(const Instance& instance) {
+  return query_optimal_machines_stats(instance).machines;
 }
 
 }  // namespace minmach

@@ -1,23 +1,13 @@
 // Query engine above the feasibility oracle (DESIGN.md §11).
 //
-// query_optimal_machines() answers "OPT of this instance" through two
-// accelerators layered over FeasibilityOracle:
-//
-//  * the global affine-canonical OPT cache (util/opt_cache.hpp): a query
-//    whose canonical fingerprint already has a cached OPT value returns it
-//    without building a network at all;
-//  * speculative parallel probing: on a miss, the galloping/binary OPT
-//    search probes the 2-3 live candidate machine counts of each search
-//    round concurrently (one pooled oracle network per lane), then retires
-//    the probes whose verdicts monotonicity already implied. A round
-//    shrinks the bracket at least as much as one sequential probe, so the
-//    total executed probes stay within sequential galloping plus the
-//    (live - 1) x rounds overhead bound -- enforced by bench/q01.
-//
-// Both accelerators are exact: the returned machine count is identical to
-// FeasibilityOracle::optimal_machines() for every instance, every
-// OracleOptions combination, with the cache on or off (differentially
-// tested in tests/test_query.cpp).
+// query_optimal_machines() answers "OPT of this instance" through the
+// global affine-canonical OPT cache (util/opt_cache.hpp): a query whose
+// canonical fingerprint already has a cached OPT value returns it without
+// building a network at all; a miss runs FeasibilityOracle's own search,
+// which publishes the value back. The cache is exact: the returned machine
+// count is identical to FeasibilityOracle::optimal_machines() for every
+// instance, with the cache on or off (differentially tested in
+// tests/test_query.cpp).
 #pragma once
 
 #include <cstdint>
@@ -27,34 +17,17 @@
 
 namespace minmach {
 
-struct QueryOptions {
-  OracleOptions oracle{};
-  // Consult the global OPT cache for the final OPT value (and publish the
-  // result back). Per-probe verdict caching inside FeasibilityOracle is
-  // governed by util::OptCache::global().enabled() alone; this knob only
-  // gates the query-level lookup. No-op while the global cache is disabled.
-  bool use_cache = true;
-  // Live candidate machine counts probed concurrently per search round;
-  // values <= 1 mean sequential (delegates to the oracle's own search),
-  // values above 4 are clamped.
-  int speculate = 0;
-};
-
 struct QueryStats {
   std::int64_t machines = 0;  // the answer: exact migratory OPT
   std::uint64_t probes = 0;   // network probes actually executed
-  std::uint64_t rounds = 0;   // speculative rounds launched (0 sequential)
-  std::uint64_t retired = 0;  // probes whose verdict monotonicity implied
   bool cache_hit = false;     // answered from the OPT cache outright
 };
 
 // Exact OPT with per-query statistics. Returns machines = 0 for the empty
 // instance; throws std::invalid_argument on a malformed one.
-[[nodiscard]] QueryStats query_optimal_machines_stats(
-    const Instance& instance, const QueryOptions& options = {});
+[[nodiscard]] QueryStats query_optimal_machines_stats(const Instance& instance);
 
 // Convenience wrapper returning just the machine count.
-[[nodiscard]] std::int64_t query_optimal_machines(
-    const Instance& instance, const QueryOptions& options = {});
+[[nodiscard]] std::int64_t query_optimal_machines(const Instance& instance);
 
 }  // namespace minmach

@@ -67,7 +67,7 @@ struct HotTallies {
   // workload alone, so merged reports stay byte-identical at any --threads.
   std::uint64_t bigint_spill = 0;  // "mem.bigint_spill": limb stores that outgrew the inline buffer
   std::uint64_t arena_bytes = 0;   // "mem.arena_bytes": bytes requested from arena scratch
-  std::uint64_t heap_allocs = 0;   // "mem.heap_allocs": substrate heap allocations (spills + legacy-mode temporaries)
+  std::uint64_t heap_allocs = 0;   // "mem.heap_allocs": substrate heap allocations (BigInt spills)
   // SIMD kernel layer (DESIGN.md §12). Execution-class like the rest:
   // dispatch mode moves them, results never.
   std::uint64_t simd_lanes_used = 0;     // "simd.lanes_used": elements processed by vector lanes
@@ -97,8 +97,10 @@ void drain_hot_tallies();
 #define MINMACH_OBS_TALLY_ADD(field, delta) \
   (::minmach::obs::hot_tallies().field += (delta))
 #else
+// `delta` is still evaluated: call sites pass kernel calls whose return
+// value is the tally (util/simd.cpp), and those calls must run.
 #define MINMACH_OBS_TALLY(field) ((void)0)
-#define MINMACH_OBS_TALLY_ADD(field, delta) ((void)0)
+#define MINMACH_OBS_TALLY_ADD(field, delta) ((void)(delta))
 #endif
 
 // ---- registered metrics ------------------------------------------------

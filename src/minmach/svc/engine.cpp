@@ -1,7 +1,9 @@
 #include "minmach/svc/engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "minmach/obs/histogram.hpp"
 #include "minmach/obs/json.hpp"
@@ -53,9 +55,19 @@ std::uint64_t SessionEngine::seed_from_corpus(const store::Corpus& corpus) {
 
 void SessionEngine::ingest(const std::vector<Event>& batch) {
   if (batch.empty()) return;
+  // Validate every id before any state changes. The tables are indexed by
+  // id, so id + 1 must neither wrap nor exceed what they can hold; `limit`
+  // is below UINT64_MAX, so one comparison covers both.
+  const std::uint64_t limit =
+      std::min<std::uint64_t>(sessions_.max_size(), answers_.max_size());
   std::uint64_t max_session = 0;
-  for (const Event& event : batch)
+  for (const Event& event : batch) {
+    if (event.session >= limit)
+      throw std::invalid_argument("SessionEngine::ingest: session id " +
+                                  std::to_string(event.session) +
+                                  " exceeds the session table's capacity");
     max_session = std::max(max_session, event.session);
+  }
   if (sessions_.size() <= max_session) {
     sessions_.resize(max_session + 1);
     answers_.resize(max_session + 1);
@@ -69,7 +81,7 @@ void SessionEngine::ingest(const std::vector<Event>& batch) {
   for (std::uint64_t s = 0; s < buckets.size(); ++s) {
     if (buckets[s].empty()) continue;
     touched.push_back(s);
-    if (!sessions_[s]) sessions_[s] = std::make_unique<Session>(options_.session);
+    if (!sessions_[s]) sessions_[s] = std::make_unique<Session>();
   }
 
   const std::size_t threads =

@@ -32,7 +32,6 @@ struct Event {
 struct EngineOptions {
   // Worker count for ingest(); <= 0 means all hardware threads.
   std::int64_t threads = -1;
-  SessionOptions session{};
 };
 
 class SessionEngine {
@@ -56,7 +55,9 @@ class SessionEngine {
   // wall time records into the hist.event_ns latency histogram when
   // profiling is on. Event errors (duplicate release, unknown complete,
   // malformed job) propagate as std::invalid_argument -- the first in batch
-  // order, regardless of thread count.
+  // order, regardless of thread count. A session id the tables cannot index
+  // (id + 1 wraps or exceeds their max_size()) rejects the whole batch with
+  // std::invalid_argument before any state changes.
   void ingest(const std::vector<Event>& batch);
 
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }

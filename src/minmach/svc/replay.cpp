@@ -1,6 +1,6 @@
 #include "minmach/svc/replay.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,12 +15,21 @@ namespace {
                               ": " + what);
 }
 
-std::int64_t int_field(const obs::JsonValue& object, const char* name,
-                       std::size_t line) {
+// An integer field of type T: the number's literal must be a plain run of
+// digits (a leading '-' only where T is signed) whose value fits T, so a
+// fraction, an exponent or an out-of-range value is refused, not truncated.
+template <typename T>
+T int_field(const obs::JsonValue& object, const char* name, std::size_t line) {
   const obs::JsonValue* field = object.find(name);
   if (field == nullptr || !field->is_number())
     fail(line, std::string("missing integer field \"") + name + "\"");
-  return std::strtoll(field->literal.c_str(), nullptr, 10);
+  const std::string& text = field->literal;
+  T value{};
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size())
+    fail(line, std::string("bad integer in \"") + name + "\": " + text);
+  return value;
 }
 
 Rat rat_field(const obs::JsonValue& object, const char* name,
@@ -61,17 +70,16 @@ std::vector<Event> parse_jsonl(std::string_view text) {
       fail(line_number, "missing event tag \"e\"");
 
     Event event;
-    event.session =
-        static_cast<std::uint64_t>(int_field(object, "s", line_number));
+    event.session = int_field<std::uint64_t>(object, "s", line_number);
     if (tag->text == "release") {
       event.kind = Event::Kind::kRelease;
-      event.job = int_field(object, "j", line_number);
+      event.job = int_field<std::int64_t>(object, "j", line_number);
       event.payload.release = rat_field(object, "r", line_number);
       event.payload.deadline = rat_field(object, "d", line_number);
       event.payload.processing = rat_field(object, "p", line_number);
     } else if (tag->text == "complete") {
       event.kind = Event::Kind::kComplete;
-      event.job = int_field(object, "j", line_number);
+      event.job = int_field<std::int64_t>(object, "j", line_number);
     } else if (tag->text == "query") {
       event.kind = Event::Kind::kQuery;
     } else {

@@ -11,8 +11,7 @@ namespace minmach::svc {
 // are functions of the ingested stream alone, identical at any thread count
 // or oracle configuration, so they may appear in deterministic reports.
 
-Session::Session(const SessionOptions& options)
-    : oracle_(Instance{}, options.oracle) {}
+Session::Session() : oracle_(Instance{}) {}
 
 void Session::on_release(std::int64_t job, const Job& payload) {
   if (jobs_.count(job) != 0)

@@ -17,16 +17,9 @@
 
 namespace minmach::svc {
 
-struct SessionOptions {
-  // Oracle knobs for the session's backing oracle. options.dynamic off
-  // turns every flush into a cold rebuild over the live set -- the
-  // differential-test reference for the splice path.
-  OracleOptions oracle{};
-};
-
 class Session {
  public:
-  explicit Session(const SessionOptions& options = {});
+  Session();
 
   // Admits a job under a caller-chosen external id (the oracle's internal
   // JobIds are private to the session). Throws std::invalid_argument on a

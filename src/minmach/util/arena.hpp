@@ -25,14 +25,6 @@
 //    (thread exit for thread_arena()); rollback just rewinds the bump
 //    pointer, so steady-state allocation cost is a pointer add.
 //
-// Legacy mode (set_substrate_legacy(true)) makes allocate() perform one
-// real heap allocation per request, freed on rollback -- reproducing the
-// seed's per-temporary allocation profile. bench/m01_memory_substrate.cpp
-// uses it as the pre-PR baseline the acceptance thresholds are measured
-// against (same precedent as OracleOptions::legacy() for the oracle). The
-// flag also switches the simulator's run pooling and the flow layer's
-// buffer reuse off; see the call sites in sim/engine.cpp and flow/dinic.hpp.
-//
 // Determinism: the "mem.arena_bytes" / "mem.heap_allocs" tallies count
 // *requests* (a pure function of the workload). Physical chunk growth is
 // thread-local warm-up state -- it depends on which tasks share a thread --
@@ -40,10 +32,8 @@
 // in Arena::stats() for local inspection.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -52,32 +42,13 @@
 
 namespace minmach::util {
 
-// Global switch: true restores the seed's allocation behaviour (fresh heap
-// block per temporary, no simulator pooling, no flow buffer reuse). Only
-// the memory bench flips it; it defaults to false everywhere else.
-// Header-inline so the read compiles down to a single load on the hot path
-// (the kernels consult it tens of millions of times per run). Relaxed is
-// enough: the bench flips it only between single-threaded measurement
-// phases, never concurrently with kernel work.
-namespace detail {
-inline std::atomic<bool> g_substrate_legacy{false};
-}  // namespace detail
-
-[[nodiscard]] inline bool substrate_legacy() noexcept {
-  return detail::g_substrate_legacy.load(std::memory_order_relaxed);
-}
-inline void set_substrate_legacy(bool legacy) noexcept {
-  detail::g_substrate_legacy.store(legacy, std::memory_order_relaxed);
-}
-
 class Arena {
  public:
   // Rollback token: a position in the chunk list plus the bump offset
-  // there, and the legacy allocation stack depth.
+  // there.
   struct Marker {
     std::size_t chunk = 0;
     std::size_t offset = 0;
-    std::size_t legacy_depth = 0;
   };
 
   struct Stats {
@@ -91,7 +62,6 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
   ~Arena() {
     for (Chunk& chunk : chunks_) ::operator delete(chunk.data);
-    for (void* p : legacy_allocs_) ::operator delete(p);
   }
 
   // Returns `bytes` of uninitialized storage aligned for any limb/POD use
@@ -100,15 +70,6 @@ class Arena {
     bytes = (bytes + kAlign - 1) & ~(kAlign - 1);
     MINMACH_OBS_TALLY_ADD(arena_bytes, bytes);
     stats_.bytes_requested += bytes;
-    if (substrate_legacy()) [[unlikely]] {
-      MINMACH_OBS_TALLY(heap_allocs);
-      void* p = ::operator new(bytes);
-      // The seed's temporaries were value-initialized vectors; keep the
-      // baseline faithful by zeroing like std::vector<Limb>(n) did.
-      std::memset(p, 0, bytes);
-      legacy_allocs_.push_back(p);
-      return p;
-    }
     if (active_ < chunks_.size()) [[likely]] {
       Chunk& chunk = chunks_[active_];
       if (chunk.used + bytes <= chunk.size) [[likely]] {
@@ -130,16 +91,10 @@ class Arena {
   }
 
   [[nodiscard]] Marker checkpoint() const {
-    return {active_,
-            active_ < chunks_.size() ? chunks_[active_].used : 0,
-            legacy_allocs_.size()};
+    return {active_, active_ < chunks_.size() ? chunks_[active_].used : 0};
   }
 
   void rollback(const Marker& marker) {
-    while (legacy_allocs_.size() > marker.legacy_depth) {
-      ::operator delete(legacy_allocs_.back());
-      legacy_allocs_.pop_back();
-    }
     active_ = marker.chunk;
     if (active_ < chunks_.size()) chunks_[active_].used = marker.offset;
   }
@@ -182,7 +137,6 @@ class Arena {
 
   std::vector<Chunk> chunks_;
   std::size_t active_ = 0;
-  std::vector<void*> legacy_allocs_;
   Stats stats_;
 };
 

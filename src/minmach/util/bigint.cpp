@@ -157,27 +157,16 @@ void div_mod_mag(const Limb* dividend, std::size_t nd, const Limb* divisor,
 
   // D1: normalize so the top divisor limb has its high bit set. One arena
   // bump covers the normalized dividend, divisor, and quotient (m <= nd
-  // because the trimmed divisor keeps at least two limbs). Legacy mode
-  // makes the three requests separately, matching the seed's three
-  // scratch vectors per division.
+  // because the trimmed divisor keeps at least two limbs).
   const int shift = std::countl_zero(divisor[nv - 1]);
-  Limb* u;
-  Limb* v;
-  if (minmach::util::substrate_legacy()) [[unlikely]] {
-    u = scope.alloc<Limb>(nd + 1);
-    v = scope.alloc<Limb>(nv + 1);
-  } else {
-    Limb* block = scope.alloc<Limb>(2 * nd + nv + 2);
-    u = block;
-    v = block + (nd + 1);
-  }
+  Limb* u = scope.alloc<Limb>(2 * nd + nv + 2);
+  Limb* v = u + (nd + 1);
   shift_left_mag(dividend, nd, shift, u);
   shift_left_mag(divisor, nv, shift, v);
   const std::size_t n = trim_mag(v, nv + 1);
   const std::size_t m = (nd + 1) - n;  // quotient has at most m limbs
 
-  Limb* q = minmach::util::substrate_legacy() ? scope.alloc<Limb>(m)
-                                              : v + (nv + 1);
+  Limb* q = v + (nv + 1);
   std::fill(q, q + m, 0);
   const WideLimb vn1 = v[n - 1];
   const WideLimb vn2 = v[n - 2];
@@ -396,18 +385,13 @@ void BigInt::LimbStore::spill(std::size_t needed, bool preserve) {
 }
 
 void BigInt::LimbStore::assign(const Limb* src, std::size_t n) {
-  // Legacy mode: never use the inline buffer, so every non-empty magnitude
-  // costs a heap block exactly like the pre-substrate vector storage.
-  if (n > cap_ ||
-      (heap_ == nullptr && n != 0 && util::substrate_legacy())) [[unlikely]]
-    spill(n, /*preserve=*/false);
+  if (n > cap_) [[unlikely]] spill(n, /*preserve=*/false);
   std::copy(src, src + n, data());
   size_ = static_cast<std::uint32_t>(n);
 }
 
 void BigInt::LimbStore::push_back(Limb limb) {
-  if (size_ == cap_ || (heap_ == nullptr && util::substrate_legacy()))
-      [[unlikely]]
+  if (size_ == cap_) [[unlikely]]
     spill(std::size_t{size_} + 1, /*preserve=*/true);
   data()[size_++] = limb;
 }
@@ -620,25 +604,6 @@ BigInt BigInt::gcd(const BigInt& a_in, const BigInt& b_in) {
     std::uint64_t g =
         gcd_u64(magnitude_of(a_in.value_), magnitude_of(b_in.value_));
     return from_mag(&g, 1, false);
-  }
-  if (util::substrate_legacy()) [[unlikely]] {
-    // Pre-substrate loop: materialize a canonical BigInt quotient/remainder
-    // pair every step. Kept verbatim so the memory bench's baseline carries
-    // the seed's per-step allocation and copy traffic, not just its
-    // allocator policy.
-    BigInt a = a_in.abs();
-    BigInt b = b_in.abs();
-    while (!b.is_zero()) {
-      if (a.small_ && b.small_) {
-        std::uint64_t g =
-            gcd_u64(magnitude_of(a.value_), magnitude_of(b.value_));
-        return from_mag(&g, 1, false);
-      }
-      BigInt r = div_mod(a, b).remainder;
-      a = std::move(b);
-      b = std::move(r);
-    }
-    return a;
   }
   // Lehmer's gcd on raw magnitudes in one arena scope. Rat normalization
   // runs this on every slow-tier operation, so no step materializes a

@@ -3,7 +3,7 @@
 #  1. Run a tiny q01_query_engine. The driver enforces its own acceptance
 #     bars internally (>= 5x fewer executed probes on the strong-lb family
 #     with the cache on, nonzero cache hits from the canonical-fingerprint
-#     collisions, speculation within the sequential probe budget), so a
+#     collisions, every OPT equal to the reference oracle's), so a
 #     non-zero exit here is the failure signal.
 #  2. Run a sweep driver (e05) with --cache=off and --cache=on and require
 #     byte-identical stdout AND --report JSON: cache state may only move

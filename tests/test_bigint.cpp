@@ -248,7 +248,7 @@ TEST_P(BigIntRandom, Int128ConversionRoundTrip) {
 // ----- gcd differential against a reference Euclid -----
 
 // Textbook Euclid on the public div_mod: independent of the production gcd
-// kernel and of its legacy branch.
+// kernel.
 BigInt reference_gcd(BigInt a, BigInt b) {
   a = a.abs();
   b = b.abs();

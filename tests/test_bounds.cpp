@@ -1,6 +1,6 @@
 // Differential tests for the bound tier (DESIGN.md §14): the certified
 // sandwich lo <= OPT <= hi must be sound on every instance family, the
-// bounds-on oracle must agree with OracleOptions::legacy() probe for probe,
+// bounds-on oracle must agree with the reference oracle probe for probe,
 // the packing upper bound must hold under both audit modes, and the
 // prefiltered rational sweep must never exceed the exact single-interval
 // bound it approximates.
@@ -19,6 +19,7 @@
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace minmach {
 namespace {
@@ -90,10 +91,9 @@ std::vector<Instance> test_instances() {
 TEST(BoundSandwich, SoundOnAllFamilies) {
   ASSERT_TRUE(bounds_tier_enabled());
   for (const Instance& instance : test_instances()) {
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference_opt(instance);
 
-    FeasibilityOracle oracle(instance);  // defaults: bounds on
+    FeasibilityOracle oracle(instance);  // bound tier gate on
     const BoundSandwich sandwich = oracle.bound_sandwich();
     EXPECT_LE(sandwich.lo, opt) << "n=" << instance.size();
     EXPECT_LE(opt, sandwich.hi) << "n=" << instance.size();
@@ -110,17 +110,18 @@ TEST(BoundSandwich, SoundOnAllFamilies) {
   }
 }
 
-// bounds=on and legacy() agree probe for probe across the whole bracket,
-// including the out-of-bracket verdicts the sandwich answers for free.
-TEST(BoundSandwich, ExactProbeForProbeAgainstLegacy) {
+// The bound tier and the reference oracle agree probe for probe across the
+// whole bracket, including the out-of-bracket verdicts the sandwich
+// answers for free.
+TEST(BoundSandwich, ExactProbeForProbeAgainstReference) {
   for (const Instance& instance : test_instances()) {
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
     FeasibilityOracle oracle(instance);
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference_opt(instance);
     EXPECT_EQ(oracle.optimal_machines(), opt);
     const std::int64_t lo = std::max<std::int64_t>(0, opt - 2);
     for (std::int64_t m = lo; m <= opt + 2; ++m)
-      EXPECT_EQ(oracle.feasible(m), reference.feasible(m)) << "m=" << m;
+      EXPECT_EQ(oracle.feasible(m), reference_feasible(instance, m))
+          << "m=" << m;
   }
 }
 
@@ -169,8 +170,7 @@ TEST(BoundSandwich, GlobalGateDisablesTierButNotAnswers) {
 TEST(PackUpperBound, AuditModesAgree) {
   for (const Instance& instance : test_instances()) {
     if (instance.empty()) continue;
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference_opt(instance);
     PackUbOptions schedule_audit;
     schedule_audit.audit_schedule = true;
     PackUbOptions direct_audit;
@@ -224,8 +224,7 @@ TEST(PrefilteredSweep, CertifiedAgainstExactSweep) {
                          })
             .machines;
     EXPECT_LE(approx, exact) << "n=" << instance.size();
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    EXPECT_LE(approx, reference.optimal_machines());
+    EXPECT_LE(approx, reference_opt(instance));
   }
 }
 
@@ -258,8 +257,7 @@ TEST(CertifiedLowerBound, PartsAreConsistent) {
     }
     EXPECT_GE(parts.machines, 1);
     EXPECT_EQ(parts.machines, std::max(parts.density, parts.sweep));
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    EXPECT_LE(parts.machines, reference.optimal_machines());
+    EXPECT_LE(parts.machines, reference_opt(instance));
   }
 }
 

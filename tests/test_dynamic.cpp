@@ -1,11 +1,12 @@
 // Differential tests for the fully-dynamic FeasibilityOracle (DESIGN.md
 // section 15) and the svc session layer: every edit sequence, over every
-// instance family, must agree with a from-scratch batch oracle on the live
-// job set -- OPT, verdicts, and (with the splice path on, cache off, tier
-// off) it must never execute more probes per query than the batch oracle.
+// instance family, must agree with the reference oracle on the live job set
+// -- OPT and verdicts -- and (cache off, tier off) it must never execute
+// more probes per query than a from-scratch batch oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,13 @@
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
+#include "minmach/obs/metrics.hpp"
 #include "minmach/svc/engine.hpp"
 #include "minmach/svc/replay.hpp"
 #include "minmach/svc/session.hpp"
 #include "minmach/util/rng.hpp"
+#include "tests/global_modes.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace minmach {
 namespace {
@@ -62,11 +66,10 @@ Mirror mirror_of(const Instance& base) {
 }
 
 // Runs a seeded random edit sequence against `oracle`, comparing OPT (and
-// spot verdicts around it) with a fresh batch oracle after every edit.
+// spot verdicts around it) with the reference oracle after every edit.
 // `mirror` must already reflect the oracle's live set.
 void differential_edits(FeasibilityOracle& oracle, Mirror& mirror,
-                        std::uint64_t seed, int edits,
-                        const OracleOptions& batch_options = {}) {
+                        std::uint64_t seed, int edits) {
   Rng rng(seed);
   GenConfig pool_config{1, 60, 16, 4};
   for (int e = 0; e < edits; ++e) {
@@ -81,8 +84,7 @@ void differential_edits(FeasibilityOracle& oracle, Mirror& mirror,
       oracle.remove_job(id);
       mirror.remove(id);
     }
-    FeasibilityOracle batch(mirror.instance(), batch_options);
-    const std::int64_t expected = batch.optimal_machines();
+    const std::int64_t expected = reference_opt(mirror.instance());
     ASSERT_EQ(oracle.optimal_machines(), expected)
         << "edit " << e << ", " << mirror.live.size() << " live jobs";
     ASSERT_EQ(oracle.live_jobs(),
@@ -136,8 +138,7 @@ TEST(DynamicOracle, DifferentialRationalGrid) {
       oracle.remove_job(mirror.live[pick].first);
       mirror.remove(mirror.live[pick].first);
     }
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
+    ASSERT_EQ(oracle.optimal_machines(), reference_opt(mirror.instance()));
   }
 }
 
@@ -153,10 +154,7 @@ TEST(DynamicOracle, GridFallbackMidStream) {
   mirror.insert(0, mk(0, 10, 4));
   mirror.insert(1, mk(2, 6, 3));
   mirror.insert(id, odd);
-  {
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
-  }
+  ASSERT_EQ(oracle.optimal_machines(), reference_opt(mirror.instance()));
   // Edits keep working after the fallback.
   differential_edits(oracle, mirror, 93, 12);
 }
@@ -179,23 +177,46 @@ TEST(DynamicOracle, CompressionCounterexampleStaysExact) {
 }
 
 TEST(DynamicOracle, ColdRebuildFallbackAgrees) {
-  // options.dynamic off: edits stale-mark the network and the next probe
-  // rebuilds over the live set -- the splice path's reference.
-  OracleOptions options;
-  options.dynamic = false;
+  // The spliced layout rebuilds cold twice over: once when the first edit
+  // meets the batch layout, and again whenever the zeroed edges of
+  // retired jobs outnumber the live ones by the compaction margin. A long
+  // remove run forces the second kind; answers match the reference
+  // throughout. The bound tier is off so that every query reaches the
+  // network (a pinched sandwich would answer without building it).
+  GlobalModesGuard guard;
+  set_bounds_tier_enabled(false);
   Rng rng(23);
   const Instance base = gen_general(rng, {10, 60, 16, 2});
-  FeasibilityOracle oracle(base, options);
+  FeasibilityOracle oracle(base);
   Mirror mirror = mirror_of(base);
-  differential_edits(oracle, mirror, 57, 24);
+  ASSERT_EQ(oracle.optimal_machines(), reference_opt(base));
+  obs::Counter& rebuilds = obs::Registry::global().counter("dyn.rebuilds");
+  const std::uint64_t rebuilds0 = rebuilds.value();
+  for (int e = 0; e < 40; ++e) {
+    const Instance one = gen_general(rng, {1, 60, 16, 4});
+    mirror.insert(oracle.insert_job(one.job(0)), one.job(0));
+    ASSERT_EQ(oracle.optimal_machines(), reference_opt(mirror.instance()));
+  }
+  while (mirror.live.size() > 2) {
+    const JobId id = mirror.live.back().first;
+    oracle.remove_job(id);
+    mirror.remove(id);
+    ASSERT_EQ(oracle.optimal_machines(), reference_opt(mirror.instance()));
+  }
+  EXPECT_GE(rebuilds.value() - rebuilds0, 2u);
 }
 
-TEST(DynamicOracle, LegacyOptionsAgree) {
-  Rng rng(29);
-  const Instance base = gen_general(rng, {8, 60, 16, 2});
-  FeasibilityOracle oracle(base, OracleOptions::legacy());
-  Mirror mirror = mirror_of(base);
-  differential_edits(oracle, mirror, 61, 16, OracleOptions::legacy());
+TEST(DynamicOracle, EditsMatchReferenceUnderEveryGlobalMode) {
+  // SIMD dispatch and the bound-tier gate are process-wide; edit streams
+  // must answer exactly under every combination.
+  std::uint64_t seed = 61;
+  for_each_global_mode([&] {
+    Rng rng(29);
+    const Instance base = gen_general(rng, {8, 60, 16, 2});
+    FeasibilityOracle oracle(base);
+    Mirror mirror = mirror_of(base);
+    differential_edits(oracle, mirror, ++seed, 16);
+  });
 }
 
 TEST(DynamicOracle, MemoShiftsTrackOptAcrossEdits) {
@@ -296,15 +317,16 @@ TEST(DynamicOracle, ProbeParityWithBatch) {
 
 TEST(DynamicOracle, NeverEditedOracleUnchanged) {
   // The dynamic layout is only adopted on the first edit: a never-edited
-  // oracle runs the exact same batch path whatever options.dynamic says.
+  // oracle answers on the batch network and never builds the spliced one.
   Rng rng(101);
   const Instance base = gen_general(rng, {20, 80, 20, 2});
-  OracleOptions no_dynamic;
-  no_dynamic.dynamic = false;
-  FeasibilityOracle with(base);
-  FeasibilityOracle without(base, no_dynamic);
-  ASSERT_EQ(with.optimal_machines(), without.optimal_machines());
-  ASSERT_EQ(with.probes_executed(), without.probes_executed());
+  obs::Counter& rebuilds = obs::Registry::global().counter("dyn.rebuilds");
+  const std::uint64_t rebuilds0 = rebuilds.value();
+  FeasibilityOracle oracle(base);
+  ASSERT_EQ(oracle.optimal_machines(), reference_opt(base));
+  for (std::int64_t m = 1; m <= 4; ++m)
+    ASSERT_EQ(oracle.feasible(m), reference_feasible(base, m));
+  EXPECT_EQ(rebuilds.value(), rebuilds0);
 }
 
 // ---- svc: session + engine + replay -----------------------------------
@@ -415,6 +437,39 @@ TEST(SvcEngine, IncrementalBatchesMatchOneShot) {
   EXPECT_EQ(one_shot.report_json(), incremental.report_json());
 }
 
+TEST(SvcEngine, RejectsUnindexableSessionIdWithoutChangingState) {
+  // Session ids index the engine's tables, so UINT64_MAX (whose id + 1
+  // wraps to 0) must be refused before any state changes -- alone or
+  // behind a valid event in the same batch.
+  svc::SessionEngine engine;
+  engine.ingest(mixed_stream(2, 8, 149));
+  const std::string report = engine.report_json();
+  const std::size_t sessions = engine.session_count();
+  const std::uint64_t events = engine.events_ingested();
+  svc::Event valid;
+  valid.kind = svc::Event::Kind::kQuery;
+  valid.session = 1;
+  svc::Event huge = valid;
+  huge.session = std::numeric_limits<std::uint64_t>::max();
+  for (const std::vector<svc::Event>& batch :
+       {std::vector<svc::Event>{huge}, std::vector<svc::Event>{valid, huge}}) {
+    try {
+      engine.ingest(batch);
+      ADD_FAILURE() << "a batch with session id UINT64_MAX was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("18446744073709551615"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(engine.session_count(), sessions);
+    EXPECT_EQ(engine.events_ingested(), events);
+    EXPECT_EQ(engine.report_json(), report);
+  }
+  // The engine keeps serving after a rejected batch.
+  engine.ingest({valid});
+  EXPECT_EQ(engine.events_ingested(), events + 1);
+}
+
 TEST(SvcReplay, JsonlRoundTrip) {
   const std::vector<svc::Event> stream = mixed_stream(4, 16, 139);
   const std::string jsonl = svc::to_jsonl(stream);
@@ -439,6 +494,51 @@ TEST(SvcReplay, RationalTimesSurviveTheRoundTrip) {
   EXPECT_EQ(reparsed[0].payload.release, Rat(1, 3));
   EXPECT_EQ(reparsed[0].payload.deadline, Rat(7, 2));
   EXPECT_EQ(reparsed[0].payload.processing, Rat(5, 6));
+}
+
+TEST(SvcReplay, FullRangeIdsSurviveTheRoundTrip) {
+  svc::Event complete;
+  complete.kind = svc::Event::Kind::kComplete;
+  complete.session = std::numeric_limits<std::uint64_t>::max();
+  complete.job = std::numeric_limits<std::int64_t>::min();
+  svc::Event query;
+  query.kind = svc::Event::Kind::kQuery;
+  query.session = complete.session;
+  const std::string jsonl = svc::to_jsonl({complete, query});
+  const std::vector<svc::Event> reparsed = svc::parse_jsonl(jsonl);
+  ASSERT_EQ(reparsed.size(), 2u);
+  EXPECT_EQ(reparsed[0].session, complete.session);
+  EXPECT_EQ(reparsed[0].job, complete.job);
+  EXPECT_EQ(reparsed[1].session, complete.session);
+  EXPECT_EQ(svc::to_jsonl(reparsed), jsonl);
+}
+
+TEST(SvcReplay, RefusesFractionsExponentsAndOverflowInIntegerFields) {
+  const char* const bad[] = {
+      R"({"e":"complete","s":1.9,"j":3})",
+      R"({"e":"complete","s":1,"j":3e2})",
+      R"({"e":"complete","s":1e0,"j":3})",
+      R"({"e":"complete","s":1,"j":3.0})",
+      R"({"e":"query","s":-1})",
+      R"({"e":"query","s":18446744073709551616})",
+      R"({"e":"complete","s":0,"j":9223372036854775808})",
+      R"({"e":"complete","s":0,"j":-9223372036854775809})",
+  };
+  for (const char* line : bad) {
+    try {
+      (void)svc::parse_jsonl(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 1:"), std::string::npos)
+          << error.what();
+    }
+  }
+  // A signed job id is an integer like any other.
+  const std::vector<svc::Event> signed_job =
+      svc::parse_jsonl(R"({"e":"complete","s":7,"j":-5})");
+  ASSERT_EQ(signed_job.size(), 1u);
+  EXPECT_EQ(signed_job[0].session, 7u);
+  EXPECT_EQ(signed_job[0].job, -5);
 }
 
 TEST(SvcReplay, ParseErrors) {

@@ -1,8 +1,9 @@
 // Differential tests for the scaled OPT oracle: the segment-tree-compressed
 // network, warm-started probes, and the sweep load bound must agree exactly
-// with their reference implementations (dense network, cold probes, pair
-// scan) on every instance family, including non-integer-grid (rational
-// mode) and adversarial strong-lower-bound instances.
+// with their reference implementations (the dense network of
+// tests/reference_oracle.hpp, the pair-scan load bound) on every instance
+// family, including non-integer-grid (rational mode) and adversarial
+// strong-lower-bound instances.
 #include "minmach/flow/feasibility.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "minmach/core/transforms.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
+#include "tests/global_modes.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace minmach {
 namespace {
@@ -63,18 +66,6 @@ std::vector<Instance> test_instances() {
   return out;
 }
 
-// All four oracle knob combinations that matter: each feature alone, all
-// on (default), all off (the pre-PR reference).
-std::vector<OracleOptions> option_grid() {
-  return {
-      OracleOptions{},                     // default: all on
-      OracleOptions::legacy(),             // reference
-      OracleOptions{true, false, false},   // compression only
-      OracleOptions{false, true, false},   // warm start only
-      OracleOptions{false, false, true},   // sweep bound only
-  };
-}
-
 TEST(SweepLoadBound, MatchesReferenceOnAllFamilies) {
   for (const Instance& instance : test_instances()) {
     LoadBound fast = load_bound_single_interval(instance);
@@ -96,39 +87,36 @@ TEST(SweepLoadBound, MalformedFallsBackToReference) {
   EXPECT_EQ(fast.witness.to_string(), slow.witness.to_string());
 }
 
-TEST(OracleOptions, OptimalMachinesAgreesAcrossAllKnobCombinations) {
+TEST(Oracle, OptimalMachinesMatchesReference) {
   for (const Instance& instance : test_instances()) {
-    std::int64_t reference = -1;
-    for (const OracleOptions& options : option_grid()) {
-      FeasibilityOracle oracle(instance, options);
-      std::int64_t opt = oracle.optimal_machines();
-      if (reference < 0) reference = opt;
-      EXPECT_EQ(opt, reference);
-    }
-    // And the one-shot entry point (default options).
-    EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    const std::int64_t reference = reference_opt(instance);
+    for_each_global_mode([&] {
+      FeasibilityOracle oracle(instance);
+      EXPECT_EQ(oracle.optimal_machines(), reference);
+      // And the one-shot entry point.
+      EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    });
   }
 }
 
-TEST(OracleOptions, FeasibleAgreesProbeByProbe) {
-  // Mixed ascending/descending probe sequences exercise warm starts,
-  // cold restarts, and the memo; every option combo must give the same
-  // verdicts as the one-shot reference.
+TEST(Oracle, FeasibleMatchesReferenceProbeByProbe) {
+  // Mixed ascending/descending probe sequences exercise warm starts, cold
+  // restarts, and the memo; every verdict must equal the reference's.
   Rng rng(1234);
   GenConfig config{30, 90, 25, 3};
   for (int trial = 0; trial < 4; ++trial) {
     Instance instance = gen_general(rng, config);
-    std::int64_t opt = optimal_migratory_machines(instance);
+    const std::int64_t opt = reference_opt(instance);
     std::vector<std::int64_t> sequence = {opt + 2, 1,       opt,
                                           opt - 1, opt + 1, opt};
-    for (const OracleOptions& options : option_grid()) {
-      FeasibilityOracle oracle(instance, options);
+    for_each_global_mode([&] {
+      FeasibilityOracle oracle(instance);
       for (std::int64_t m : sequence) {
         if (m <= 0) continue;
-        EXPECT_EQ(oracle.feasible(m), m >= opt)
+        EXPECT_EQ(oracle.feasible(m), reference_feasible(instance, m))
             << "m=" << m << " opt=" << opt;
       }
-    }
+    });
   }
 }
 
@@ -139,12 +127,14 @@ TEST(Compression, SharedTreeNodesDoNotLeakSegmentCaps) {
   // per-(job,segment) cap admits flow 4 and wrongly reports feasible. The
   // hybrid compression must keep the dense verdict.
   Instance instance({mk(0, 2, 2), mk(0, 1, 1), mk(0, 1, 1)});
-  for (const OracleOptions& options : option_grid()) {
-    FeasibilityOracle oracle(instance, options);
+  ASSERT_FALSE(reference_feasible(instance, 2));
+  ASSERT_EQ(reference_opt(instance), 3);
+  for_each_global_mode([&] {
+    FeasibilityOracle oracle(instance);
     EXPECT_FALSE(oracle.feasible(2));
     EXPECT_TRUE(oracle.feasible(3));
     EXPECT_EQ(oracle.optimal_machines(), 3);
-  }
+  });
 }
 
 TEST(Compression, TightJobsDegradeToDirectEdges) {
@@ -153,8 +143,7 @@ TEST(Compression, TightJobsDegradeToDirectEdges) {
   // match the dense network.
   Instance instance({mk(0, 4, 4), mk(1, 3, 2), mk(0, 2, 2), mk(2, 4, 2)});
   FeasibilityOracle fast(instance);
-  FeasibilityOracle dense(instance, OracleOptions::legacy());
-  EXPECT_EQ(fast.optimal_machines(), dense.optimal_machines());
+  EXPECT_EQ(fast.optimal_machines(), reference_opt(instance));
 }
 
 TEST(Oracle, WarmStartSurvivesDescendingProbes) {

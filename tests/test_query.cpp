@@ -1,8 +1,7 @@
-// The query engine (DESIGN.md section 11): affine-canonical fingerprints,
-// the sharded global OPT cache, and speculative parallel probing. The load
-// bearing property throughout is EXACTNESS -- every accelerated path must
-// return byte-identical answers to the plain sequential oracle, for every
-// OracleOptions combination, at any thread count.
+// The query engine (DESIGN.md section 11): affine-canonical fingerprints and
+// the sharded global OPT cache. The load bearing property throughout is
+// EXACTNESS -- a cached answer must equal the reference oracle's, under
+// every SIMD dispatch mode and bound-tier setting, at any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +18,8 @@
 #include "minmach/obs/metrics.hpp"
 #include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rng.hpp"
+#include "tests/global_modes.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace minmach {
 namespace {
@@ -90,37 +91,30 @@ TEST_F(QueryTest, CacheOnAndOffAgreeAcrossAllOracleOptionCombos) {
   GenConfig config;
   config.n = 16;
   std::vector<Instance> pool;
-  for (int trial = 0; trial < 4; ++trial) pool.push_back(gen_general(rng, config));
+  std::vector<std::int64_t> reference;
+  for (int trial = 0; trial < 4; ++trial) {
+    pool.push_back(gen_general(rng, config));
+    reference.push_back(reference_opt(pool.back()));
+  }
 
-  for (int mask = 0; mask < 8; ++mask) {
-    OracleOptions options;
-    options.compress = (mask & 1) != 0;
-    options.warm_start = (mask & 2) != 0;
-    options.sweep_bound = (mask & 4) != 0;
-
-    // Reference: cache globally disabled.
+  // The oracle's remaining switches are process-wide: SIMD dispatch and
+  // the bound-tier gate.
+  for_each_global_mode([&] {
+    // Cache disabled, then enabled and cleared: the first cached pass
+    // fills, the second hits; every pass must reproduce the reference
+    // exactly, through the oracle and through the query wrapper.
     util::OptCache::global().configure(false, 1 << 10);
-    std::vector<std::int64_t> reference;
-    for (const Instance& in : pool) {
-      FeasibilityOracle oracle(in, options);
-      reference.push_back(oracle.optimal_machines());
-    }
-
-    // Cache enabled and cleared: first pass fills, second pass hits; both
-    // must reproduce the reference exactly, through the oracle and through
-    // the query wrapper.
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      EXPECT_EQ(query_optimal_machines(pool[i]), reference[i]);
     util::OptCache::global().configure(true, 1 << 10);
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i < pool.size(); ++i) {
-        FeasibilityOracle oracle(pool[i], options);
-        EXPECT_EQ(oracle.optimal_machines(), reference[i])
-            << "mask=" << mask << " pass=" << pass;
-        QueryOptions query;
-        query.oracle = options;
-        EXPECT_EQ(query_optimal_machines(pool[i], query), reference[i]);
+        FeasibilityOracle oracle(pool[i]);
+        EXPECT_EQ(oracle.optimal_machines(), reference[i]) << "pass " << pass;
+        EXPECT_EQ(query_optimal_machines(pool[i]), reference[i]);
       }
     }
-  }
+  });
 }
 
 TEST_F(QueryTest, SecondQueryIsAnOptCacheHit) {
@@ -144,10 +138,9 @@ TEST_F(QueryTest, SecondQueryIsAnOptCacheHit) {
   EXPECT_TRUE(image.cache_hit);
   EXPECT_EQ(image.machines, first.machines);
 
-  // use_cache=false bypasses the query-level lookup but must still agree.
-  QueryOptions uncached;
-  uncached.use_cache = false;
-  const QueryStats bypass = query_optimal_machines_stats(in, uncached);
+  // A disabled cache bypasses the query-level lookup but must still agree.
+  util::OptCache::global().configure(false, 1 << 10);
+  const QueryStats bypass = query_optimal_machines_stats(in);
   EXPECT_FALSE(bypass.cache_hit);
   EXPECT_EQ(bypass.machines, first.machines);
 }
@@ -174,52 +167,22 @@ TEST_F(QueryTest, EvictionKeepsTheCacheBoundedAndExact) {
   EXPECT_TRUE(cache.enabled());
 }
 
-TEST_F(QueryTest, SpeculativeSearchMatchesSequentialWithinProbeBudget) {
-  Rng rng(19);
-  GenConfig config;
-  std::vector<Instance> pool;
-  for (std::size_t n : {6u, 12u, 24u, 48u}) {
-    config.n = n;
-    pool.push_back(gen_general(rng, config));
-    pool.push_back(gen_tight(rng, config, Rat(1, 2)));
-  }
-  util::OptCache::global().configure(false, 64);
-
-  for (const Instance& in : pool) {
-    QueryOptions sequential;
-    sequential.speculate = 0;
-    const QueryStats seq = query_optimal_machines_stats(in, sequential);
-    for (int speculate : {2, 3, 4, 7}) {  // 7 clamps to 4
-      QueryOptions options;
-      options.speculate = speculate;
-      const QueryStats spec = query_optimal_machines_stats(in, options);
-      const int live = std::min(speculate, 4);
-      EXPECT_EQ(spec.machines, seq.machines) << "speculate=" << speculate;
-      EXPECT_LE(spec.probes,
-                seq.probes + static_cast<std::uint64_t>(live - 1) * spec.rounds)
-          << "speculate=" << speculate;
-    }
-  }
-}
-
-TEST_F(QueryTest, SpeculationAndCacheComposeOnDegenerateInstances) {
+TEST_F(QueryTest, CachedQueryHandlesDegenerateInstances) {
   util::OptCache::global().configure(true, 1 << 10);
-  QueryOptions options;
-  options.speculate = 3;
 
-  EXPECT_EQ(query_optimal_machines(Instance(), options), 0);
+  EXPECT_EQ(query_optimal_machines(Instance()), 0);
 
   std::vector<Job> one(1);
   one[0].release = Rat(0);
   one[0].deadline = Rat(2);
   one[0].processing = Rat(1);
-  EXPECT_EQ(query_optimal_machines(Instance(one), options), 1);
+  EXPECT_EQ(query_optimal_machines(Instance(one)), 1);
 
   std::vector<Job> bad(1);
   bad[0].release = Rat(1);
   bad[0].deadline = Rat(1);
   bad[0].processing = Rat(1);
-  EXPECT_THROW((void)query_optimal_machines(Instance(bad), options),
+  EXPECT_THROW((void)query_optimal_machines(Instance(bad)),
                std::invalid_argument);
 }
 
@@ -230,10 +193,8 @@ TEST_F(QueryTest, ConcurrentCachedQueriesStayConsistent) {
   std::vector<Instance> pool;
   for (int trial = 0; trial < 6; ++trial) pool.push_back(gen_general(rng, config));
 
-  util::OptCache::global().configure(false, 1 << 10);
   std::vector<std::int64_t> reference;
-  for (const Instance& in : pool)
-    reference.push_back(query_optimal_machines(in));
+  for (const Instance& in : pool) reference.push_back(reference_opt(in));
 
   // Four threads hammer the same instance pool through the cache -- every
   // interleaving of misses, fills, hits, and evictions must return the

@@ -23,6 +23,7 @@
 #include "minmach/util/rational.hpp"
 #include "minmach/util/rng.hpp"
 #include "minmach/util/simd.hpp"
+#include "tests/reference_oracle.hpp"
 
 namespace minmach {
 namespace {
@@ -481,20 +482,20 @@ TEST(OracleSimd, OptIdenticalAcrossModes) {
 }
 
 TEST(OracleSimd, OptionsFlagDisablesAccel) {
-  // OracleOptions::simd = false must behave exactly like scalar dispatch
-  // (it is ANDed with the global mode), including on the legacy baseline.
+  // The scalar mode (the drivers' --simd scalar flag) switches every kernel
+  // off; the oracle must answer exactly as under auto dispatch and as the
+  // reference oracle.
   ModeGuard guard;
-  util::simd::set_mode(util::simd::Mode::kAuto);
   Rng rng(53);
   const Instance instance = gen_unit(rng, GenConfig{100, 12, 12, 1});
-  OracleOptions no_simd;
-  no_simd.simd = false;
-  FeasibilityOracle plain(instance, no_simd);
+  util::simd::set_mode(util::simd::Mode::kScalar);
+  ASSERT_FALSE(util::simd::active());
+  FeasibilityOracle plain(instance);
+  const std::int64_t opt = plain.optimal_machines();
+  util::simd::set_mode(util::simd::Mode::kAuto);
   FeasibilityOracle accel(instance);
-  FeasibilityOracle legacy(instance, OracleOptions::legacy());
-  const std::int64_t opt = accel.optimal_machines();
-  EXPECT_EQ(plain.optimal_machines(), opt);
-  EXPECT_EQ(legacy.optimal_machines(), opt);
+  EXPECT_EQ(accel.optimal_machines(), opt);
+  EXPECT_EQ(reference_opt(instance), opt);
 }
 
 TEST(OracleSimd, SolveAllocationIdenticalAcrossModes) {
