@@ -106,8 +106,10 @@ inline std::string path_flag(Cli& cli, const std::string& flag) {
 inline constexpr std::string_view kBenchJsonSchema = "bench-json-v1";
 
 // Build-time git revision and build type, injected by CMake
-// (-DMINMACH_GIT_REV=..., -DMINMACH_BUILD_TYPE=...); "unknown" when absent
-// (e.g. a tarball build outside git).
+// (-DMINMACH_GIT_REV=..., -DMINMACH_BUILD_TYPE=...). The revision is
+// `git describe --always --dirty --abbrev=7`, so an artifact built from an
+// uncommitted tree reads "<rev>-dirty"; "unknown" when absent (e.g. a
+// tarball build outside git).
 #ifndef MINMACH_GIT_REV
 #define MINMACH_GIT_REV "unknown"
 #endif

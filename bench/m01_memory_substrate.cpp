@@ -6,10 +6,10 @@
 //
 //   strong-lb : the Theorem 3 recursive adversary at --levels (deep Rat
 //               recursion; denominators double every level). Recorded:
-//               logical heap allocations (mem.heap_allocs from the obs
-//               registry, all of them BigInt limb spills -- the arena
-//               serves every temporary), physical allocations, arena
-//               bytes.
+//               logical heap allocations (mem.bigint_spill from the obs
+//               registry: a BigInt limb spill is the substrate's only heap
+//               allocation -- the arena serves every temporary), physical
+//               allocations, arena bytes.
 //   e04-loose : the Theorem 5 pipeline sweep body (simulator-heavy).
 //   e05-shrink: the Lemma 3 window-shrink sweep body (oracle-heavy).
 //               Both are int64-bound and enforced registry-silent, and
@@ -99,7 +99,6 @@ using namespace minmach;
 struct Measurement {
   double wall_ms = 0.0;
   std::uint64_t physical_allocs = 0;  // operator new interposition
-  std::uint64_t heap_allocs = 0;      // mem.heap_allocs (logical, registry)
   std::uint64_t arena_bytes = 0;      // mem.arena_bytes
   std::uint64_t bigint_spill = 0;     // mem.bigint_spill
   std::int64_t checksum = 0;          // family-defined result fingerprint
@@ -120,7 +119,6 @@ Measurement measure(Fn&& fn) {
   out.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     obs::drain_hot_tallies();
-    const std::uint64_t heap0 = registry.counter("mem.heap_allocs").value();
     const std::uint64_t arena0 = registry.counter("mem.arena_bytes").value();
     const std::uint64_t spill0 = registry.counter("mem.bigint_spill").value();
     const std::uint64_t phys0 =
@@ -137,7 +135,6 @@ Measurement measure(Fn&& fn) {
             .count());
 
     obs::drain_hot_tallies();
-    out.heap_allocs = registry.counter("mem.heap_allocs").value() - heap0;
     out.arena_bytes = registry.counter("mem.arena_bytes").value() - arena0;
     out.bigint_spill = registry.counter("mem.bigint_spill").value() - spill0;
     out.physical_allocs =
@@ -242,14 +239,13 @@ int main(int argc, char** argv) {
   bench::require(e05 == family_e05(seed, sweep_n, trials, reference_opt),
                  "e05-shrink: OPT values diverge from the reference oracle");
 
-  Table table({"family", "wall ms", "heap allocs (obs)", "physical allocs",
-               "arena KiB", "spills"});
+  Table table({"family", "wall ms", "spills (obs)", "physical allocs",
+               "arena KiB"});
   for (const Row& row : rows) {
     table.add_row({row.family, Table::fmt(row.measured.wall_ms, 2),
-                   std::to_string(row.measured.heap_allocs),
+                   std::to_string(row.measured.bigint_spill),
                    std::to_string(row.measured.physical_allocs),
-                   std::to_string(row.measured.arena_bytes >> 10),
-                   std::to_string(row.measured.bigint_spill)});
+                   std::to_string(row.measured.arena_bytes >> 10)});
   }
   table.print(std::cout);
   ctx.table("memory substrate", table);
@@ -262,8 +258,8 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     if (row.family == "strong-lb") continue;
     ctx.check(row.family + ": registry-silent",
-              std::to_string(row.measured.heap_allocs), "0",
-              row.measured.heap_allocs == 0);
+              std::to_string(row.measured.bigint_spill), "0",
+              row.measured.bigint_spill == 0);
   }
   ctx.check("e04/e05: OPT values equal the reference oracle's", "equal",
             "equal", true);
@@ -398,7 +394,6 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.key("family").value(row.family);
     json.key("wall_ms").value(row.measured.wall_ms);
-    json.key("heap_allocs").value(row.measured.heap_allocs);
     json.key("physical_allocs").value(row.measured.physical_allocs);
     json.key("arena_bytes").value(row.measured.arena_bytes);
     json.key("bigint_spills").value(row.measured.bigint_spill);

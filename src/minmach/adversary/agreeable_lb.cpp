@@ -1,6 +1,7 @@
 #include "minmach/adversary/agreeable_lb.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "minmach/flow/feasibility.hpp"
 
@@ -17,8 +18,9 @@ bool can_absorb_threat(const Simulator& sim, std::int64_t budget,
   Instance snapshot;
   for (JobId id = 0; id < sim.job_count(); ++id) {
     if (!sim.released(id) || sim.finished(id) || sim.missed(id)) continue;
-    if (sim.remaining(id).is_zero()) continue;
-    snapshot.add_job({sim.now(), sim.job(id).deadline, sim.remaining(id)});
+    Rat rem = sim.remaining(id);
+    if (rem.is_zero()) continue;
+    snapshot.add_job({sim.now(), sim.job(id).deadline, std::move(rem)});
   }
   for (std::int64_t i = 0; i < count; ++i)
     snapshot.add_job({sim.now(), sim.now() + Rat(1), Rat(1)});

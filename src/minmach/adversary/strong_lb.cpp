@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "minmach/obs/metrics.hpp"
 #include "minmach/obs/trace.hpp"
@@ -62,9 +63,9 @@ class StrongLbGame {
     // from the opponent's actual schedule (Equation (2)).
     Rat eps_prime = prev.eps;
     for (JobId id : prev.critical) {
-      check(!sim_.remaining(id).is_zero(),
-            "critical job finished before its critical time");
-      eps_prime = Rat::min(eps_prime, sim_.remaining(id));
+      Rat rem = sim_.remaining(id);
+      check(!rem.is_zero(), "critical job finished before its critical time");
+      if (rem < eps_prime) eps_prime = std::move(rem);
     }
 
     // Scaled copy of I_{k-1} inside [t0, t0 + eps'/2].
@@ -103,9 +104,9 @@ class StrongLbGame {
     Rat min_rem;
     bool first = true;
     for (JobId id : sub.critical) {
-      check(!sim_.remaining(id).is_zero(),
-            "copy's critical job finished before t'_0");
-      if (first || sim_.remaining(id) < min_rem) min_rem = sim_.remaining(id);
+      Rat rem = sim_.remaining(id);
+      check(!rem.is_zero(), "copy's critical job finished before t'_0");
+      if (first || rem < min_rem) min_rem = std::move(rem);
       first = false;
     }
     // p* in ( max(W - min_rem, W - eps'/2), W ): lower bounds forbid

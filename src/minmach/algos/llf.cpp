@@ -19,12 +19,8 @@ void LlfPolicy::dispatch(Simulator& sim) {
     if (a.first != b.first) return a.first < b.first;
     // Tie-break: waiting jobs beat running jobs (realizes the swap at a
     // laxity crossing), then smaller deadline, then id.
-    bool a_running = false;
-    bool b_running = false;
-    for (std::size_t m = 0; m < sim.machine_slots(); ++m) {
-      if (sim.running_on(m) == a.second) a_running = true;
-      if (sim.running_on(m) == b.second) b_running = true;
-    }
+    const bool a_running = sim.is_running(a.second);
+    const bool b_running = sim.is_running(b.second);
     if (a_running != b_running) return b_running;
     const Job& ja = sim.job(a.second);
     const Job& jb = sim.job(b.second);
@@ -64,11 +60,8 @@ std::optional<Rat> LlfPolicy::next_wakeup(const Simulator& sim) {
   std::optional<Rat> min_waiting;
   std::optional<Rat> max_running;
   for (JobId id : sim.active_jobs()) {
-    bool running = false;
-    for (std::size_t m = 0; m < sim.machine_slots(); ++m)
-      if (sim.running_on(m) == id) running = true;
     Rat lax = laxity(sim, id);
-    if (running) {
+    if (sim.is_running(id)) {
       if (!max_running || *max_running < lax) max_running = lax;
     } else {
       any_waiting = true;

@@ -31,8 +31,9 @@ void NonMigratoryPolicy::on_release(Simulator& sim, JobId job) {
   std::size_t machine = choose_machine(sim, job);
   if (machine >= profiles_.size()) profiles_.resize(machine + 1);
   Profile& profile = profiles_[machine];
+  // At its release the job's remaining work is its processing time.
   const Rat& deadline = sim.job(job).deadline;
-  const Rat& work = sim.remaining(job);
+  const Rat& work = sim.job(job).processing;
   const std::size_t pos = insert_position(profile, deadline, job);
   Rat slack = slack_before(profile, pos, deadline, sim);
   slack -= work;
@@ -84,7 +85,7 @@ bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
   // Prefix-demand test: the slacks before the insertion point stay as they
   // are; the new entry's slack and every later one drop by the job's work.
   const Rat& deadline = sim.job(job).deadline;
-  const Rat& work = sim.remaining(job);
+  const Rat& work = sim.job(job).processing;
   const std::size_t pos = insert_position(profile, deadline, job);
   for (std::size_t i = 0; i < pos; ++i)
     if (profile[i].slack.is_negative()) return false;

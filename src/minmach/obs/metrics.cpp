@@ -16,7 +16,7 @@ void drain_hot_tallies() {
   HotTallies& t = hot_tallies();
   if (t.bigint_promotions == 0 && t.bigint_slow_ops == 0 &&
       t.rat_fast_ops == 0 && t.rat_slow_ops == 0 && t.bigint_spill == 0 &&
-      t.arena_bytes == 0 && t.heap_allocs == 0 && t.simd_lanes_used == 0 &&
+      t.arena_bytes == 0 && t.simd_lanes_used == 0 &&
       t.simd_scalar_spills == 0)
     return;
   Registry& registry = Registry::global();
@@ -26,7 +26,6 @@ void drain_hot_tallies() {
   registry.counter("rat.slow_ops").add(t.rat_slow_ops);
   registry.counter("mem.bigint_spill").add(t.bigint_spill);
   registry.counter("mem.arena_bytes").add(t.arena_bytes);
-  registry.counter("mem.heap_allocs").add(t.heap_allocs);
   registry.counter("simd.lanes_used").add(t.simd_lanes_used);
   registry.counter("simd.scalar_spills").add(t.simd_scalar_spills);
   t = HotTallies{};

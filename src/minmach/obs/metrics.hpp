@@ -61,13 +61,12 @@ struct HotTallies {
   std::uint64_t bigint_slow_ops = 0;    // "bigint.slow_ops": limb-path arithmetic calls
   std::uint64_t rat_fast_ops = 0;       // "rat.fast_ops": int64 fast-path successes
   std::uint64_t rat_slow_ops = 0;       // "rat.slow_ops": BigInt fallback operations
-  // Memory-substrate counters (DESIGN.md §10). All three count *logical*
+  // Memory-substrate counters (DESIGN.md §10). Both count *logical*
   // per-value events, never physical arena chunk growth: chunk counts
   // depend on how tasks land on threads, while these are functions of the
   // workload alone, so merged reports stay byte-identical at any --threads.
   std::uint64_t bigint_spill = 0;  // "mem.bigint_spill": limb stores that outgrew the inline buffer
   std::uint64_t arena_bytes = 0;   // "mem.arena_bytes": bytes requested from arena scratch
-  std::uint64_t heap_allocs = 0;   // "mem.heap_allocs": substrate heap allocations (BigInt spills)
   // SIMD kernel layer (DESIGN.md §12). Execution-class like the rest:
   // dispatch mode moves them, results never.
   std::uint64_t simd_lanes_used = 0;     // "simd.lanes_used": elements processed by vector lanes

@@ -31,6 +31,7 @@ void Simulator::reset(OnlinePolicy& policy, Rat speed) {
   remaining_.clear();
   state_.clear();
   last_machine_.clear();
+  on_machine_.clear();
   missed_list_.clear();
   pending_.clear();
   deadline_heap_.clear();
@@ -38,6 +39,8 @@ void Simulator::reset(OnlinePolicy& policy, Rat speed) {
   open_jobs_ = 0;
   max_deadline_ = Rat(0);
   running_.clear();
+  since_.clear();
+  finish_.clear();
   trace_.clear();
   machine_touched_.clear();
   machines_used_ = 0;
@@ -68,6 +71,7 @@ JobId Simulator::submit(const Job& job) {
   remaining_.push_back(job.processing);
   state_.push_back(JobState::kPending);
   last_machine_.push_back(kNeverRan);
+  on_machine_.push_back(kIdle);
   heap_push(pending_, job.release, id);
   ++open_jobs_;
   max_deadline_ = Rat::max(max_deadline_, job.deadline);
@@ -98,21 +102,58 @@ void Simulator::prune_deadline_heap() {
   }
 }
 
+Rat Simulator::remaining(JobId id) const {
+  const std::size_t m = on_machine_[id];
+  if (m == kIdle || since_[m] == now_) return remaining_[id];
+  // The stint completes at finish_, so (finish_ - now)·speed is left.
+  Rat left = finish_[m] - now_;
+  left *= speed_;
+  return left;
+}
+
+void Simulator::start_stint(std::size_t machine, JobId job) {
+  running_[machine] = job;
+  on_machine_[job] = machine;
+  since_[machine] = now_;
+  // speed_ > 0, so the stint's completion time is fixed until it ends.
+  Rat finish = remaining_[job] / speed_;
+  finish += now_;
+  finish_[machine] = std::move(finish);
+}
+
+void Simulator::end_stint(std::size_t machine, bool completed) {
+  const JobId job = running_[machine];
+  running_[machine] = kInvalidJob;
+  on_machine_[job] = kIdle;
+  if (since_[machine] == now_) return;  // an empty stint leaves no trace
+  if (completed) {
+    remaining_[job] = Rat(0);
+  } else {
+    // As in remaining(): one subtraction settles the whole stint.
+    remaining_[job] = std::move(finish_[machine]);
+    remaining_[job] -= now_;
+    remaining_[job] *= speed_;
+  }
+  trace_.add_slot(machine, std::move(since_[machine]), now_, job);
+}
+
 void Simulator::set_running(std::size_t machine, JobId job) {
   if (machine >= running_.size()) {
     running_.resize(machine + 1, kInvalidJob);
+    since_.resize(machine + 1);
+    finish_.resize(machine + 1);
     machine_touched_.resize(machine + 1, false);
   }
   if (job != kInvalidJob) {
     if (job >= state_.size() || state_[job] != JobState::kActive)
       throw std::logic_error("Simulator: dispatching inactive job");
     // A job must not run on two machines at once.
-    for (std::size_t m = 0; m < running_.size(); ++m) {
-      if (m != machine && running_[m] == job)
-        throw std::logic_error("Simulator: job dispatched on two machines");
-    }
+    if (on_machine_[job] != kIdle && on_machine_[job] != machine)
+      throw std::logic_error("Simulator: job dispatched on two machines");
   }
-  running_[machine] = job;
+  if (running_[machine] == job) return;  // the stint goes on
+  if (running_[machine] != kInvalidJob) end_stint(machine);
+  if (job != kInvalidJob) start_stint(machine, job);
 }
 
 JobId Simulator::running_on(std::size_t machine) const {
@@ -125,11 +166,11 @@ void Simulator::deliver_events_at_now() {
   // 1. Completions among running jobs.
   for (std::size_t m = 0; m < running_.size(); ++m) {
     JobId job = running_[m];
-    if (job != kInvalidJob && remaining_[job].is_zero()) {
+    if (job != kInvalidJob && finish_[m] == now_) {
       obs::ProfileSpan phase("sim_complete");
+      end_stint(m, /*completed=*/true);
       state_[job] = JobState::kFinished;
       --open_jobs_;
-      running_[m] = kInvalidJob;
       ++stats_.completions;
       if (tracing)
         obs::trace_event("sim", "complete",
@@ -151,11 +192,10 @@ void Simulator::deliver_events_at_now() {
     std::sort(due_scratch_.begin(), due_scratch_.end());
     for (JobId id : due_scratch_) {
       obs::ProfileSpan phase("sim_miss");
+      if (on_machine_[id] != kIdle) end_stint(on_machine_[id]);
       state_[id] = JobState::kMissed;
       --open_jobs_;
       missed_list_.push_back(id);
-      for (auto& slot : running_)
-        if (slot == id) slot = kInvalidJob;
       ++stats_.misses;
       if (tracing)
         obs::trace_event("sim", "miss",
@@ -203,19 +243,19 @@ void Simulator::deliver_events_at_now() {
 
 Rat Simulator::next_event_time(const Rat& horizon) {
   obs::ProfileSpan span("sim_next_event");
-  Rat next = horizon;
-  if (!pending_.empty()) next = Rat::min(next, pending_.front().time);
-  // Earliest completion: speed_ > 0, so the least remaining work finishes
-  // first and one division and addition price it.
-  const Rat* least = nullptr;
-  for (JobId job : running_) {
-    if (job != kInvalidJob && (!least || remaining_[job] < *least))
-      least = &remaining_[job];
-  }
-  if (least) next = Rat::min(next, now_ + *least / speed_);
+  // Every candidate is an exact time already at hand (the stints' fixed
+  // completion times among them), so the minimum takes comparisons only.
   prune_deadline_heap();
-  if (!deadline_heap_.empty())
-    next = Rat::min(next, deadline_heap_.front().time);
+  const Rat* earliest = &horizon;
+  if (!pending_.empty() && pending_.front().time < *earliest)
+    earliest = &pending_.front().time;
+  for (std::size_t m = 0; m < running_.size(); ++m) {
+    if (running_[m] != kInvalidJob && finish_[m] < *earliest)
+      earliest = &finish_[m];
+  }
+  if (!deadline_heap_.empty() && deadline_heap_.front().time < *earliest)
+    earliest = &deadline_heap_.front().time;
+  Rat next = *earliest;
   if (auto wakeup = policy_->next_wakeup(*this); wakeup && now_ < *wakeup) {
     if (*wakeup <= next && obs::trace_enabled())
       obs::trace_event("sim", "wakeup", {{"t", *wakeup}});
@@ -232,7 +272,7 @@ void Simulator::advance_to(const Rat& t) {
   // other than the one it last ran on migrated.
   for (JobId job : prev_slice_jobs_) {
     if (state_[job] != JobState::kActive) continue;
-    if (std::find(running_.begin(), running_.end(), job) == running_.end()) {
+    if (on_machine_[job] == kIdle) {
       ++stats_.preemptions;
       if (tracing)
         obs::trace_event("sim", "preempt",
@@ -241,7 +281,6 @@ void Simulator::advance_to(const Rat& t) {
     }
   }
   prev_slice_jobs_.clear();
-  const Rat span = t - now_;
   for (std::size_t m = 0; m < running_.size(); ++m) {
     JobId job = running_[m];
     if (job == kInvalidJob) continue;
@@ -254,14 +293,12 @@ void Simulator::advance_to(const Rat& t) {
     }
     last_machine_[job] = m;
     prev_slice_jobs_.push_back(job);
-    trace_.add_slot(m, now_, t, job);
+    if (finish_[m] < t)
+      throw std::logic_error("Simulator: job overshot its completion");
     if (!machine_touched_[m]) {
       machine_touched_[m] = true;
       ++machines_used_;
     }
-    remaining_[job] -= span * speed_;
-    if (remaining_[job].is_negative())
-      throw std::logic_error("Simulator: job overshot its completion");
   }
   now_ = t;
 }
@@ -349,6 +386,10 @@ SimRun simulate(OnlinePolicy& policy, const Instance& instance, Rat speed,
 
 Schedule Simulator::schedule() const {
   Schedule copy = trace_;
+  for (std::size_t m = 0; m < running_.size(); ++m) {
+    if (running_[m] != kInvalidJob)
+      copy.add_slot(m, since_[m], now_, running_[m]);
+  }
   copy.canonicalize();
   return copy;
 }

@@ -15,14 +15,21 @@
 // the next release. This realizes the paper's game between the adversary
 // and "any online algorithm".
 //
-// Memory layout (DESIGN.md §10): per-job state is a structure of arrays
-// keyed by the dense JobId -- deadline, remaining work, and a one-byte
-// lifecycle state in parallel vectors -- so the hot event loop walks flat
-// arrays instead of chasing Job records. The release and deadline queues
-// are binary heaps over pooled vectors (std::push_heap/pop_heap), and
-// reset() clears every container without releasing storage, which lets
-// simulate() keep one pooled Simulator per thread: steady-state sweeps
-// run with zero container construction per simulation.
+// Memory layout (DESIGN.md §3.2, §10): per-job state is a structure of
+// arrays keyed by the dense JobId -- deadline, remaining work, a one-byte
+// lifecycle state and the machine the job runs on in parallel vectors -- so
+// the hot event loop walks flat arrays instead of chasing Job records.
+// Per-machine state is one open *stint* each: the running job, the time its
+// uninterrupted run started and its fixed completion time. A running job's
+// remaining_ entry holds its work at the stint start; the stint is settled
+// (remaining work reduced, one trace slot written) only when it ends at a
+// set_running change, a completion or a miss, so time advances between
+// events without rational arithmetic. remaining() and schedule() account
+// for the open stints on demand. The release and deadline queues are binary
+// heaps over pooled vectors (std::push_heap/pop_heap), and reset() clears
+// every container without releasing storage, which lets simulate() keep
+// one pooled Simulator per thread: steady-state sweeps run with zero
+// container construction per simulation.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +48,12 @@ struct SimRun;
 
 // Live event counts for one simulation. Preemptions and migrations are
 // counted as they happen (a job set aside with work left; a job resuming on
-// a different machine than it last ran on), which matches
-// Schedule::preemption_count / migration_count on the canonicalized trace
-// for non-degenerate schedules but is defined operationally, not post-hoc.
+// a different machine than it last ran on), so they are defined
+// operationally, not post-hoc. They match Schedule::preemption_count /
+// migration_count on the canonicalized trace when no job misses its
+// deadline (a miss can end a preempted job that never resumes) and no job
+// returns to a machine it ran on before (the trace counts machines, not
+// moves).
 struct SimStats {
   std::uint64_t releases = 0;
   std::uint64_t completions = 0;
@@ -103,8 +113,13 @@ class Simulator {
   [[nodiscard]] const Job& job(JobId id) const { return instance_.job(id); }
   [[nodiscard]] std::size_t job_count() const { return instance_.size(); }
 
-  // Work still owed to the job (in processing units, not wall time).
-  [[nodiscard]] const Rat& remaining(JobId id) const { return remaining_[id]; }
+  // Work still owed to the job (in processing units, not wall time). For a
+  // running job this settles its open stint on the fly.
+  [[nodiscard]] Rat remaining(JobId id) const;
+  // O(1): whether the job is set to run on some machine.
+  [[nodiscard]] bool is_running(JobId id) const {
+    return on_machine_[id] != kIdle;
+  }
   [[nodiscard]] bool released(JobId id) const {
     return state_[id] != JobState::kPending;
   }
@@ -129,7 +144,8 @@ class Simulator {
   [[nodiscard]] JobId running_on(std::size_t machine) const;
   [[nodiscard]] std::size_t machine_slots() const { return running_.size(); }
 
-  // Canonicalized copy of the processing trace so far.
+  // Canonicalized copy of the processing trace so far, open stints
+  // included up to now().
   [[nodiscard]] Schedule schedule() const;
   [[nodiscard]] std::size_t machines_used() const { return machines_used_; }
 
@@ -161,6 +177,11 @@ class Simulator {
   void deliver_events_at_now();
   [[nodiscard]] Rat next_event_time(const Rat& horizon);
   void advance_to(const Rat& t);
+  // Opens a stint of `job` on the idle machine at now_.
+  void start_stint(std::size_t machine, JobId job);
+  // Closes the machine's open stint at now_: settles the job's remaining
+  // work (to zero if `completed`) and writes its one trace slot.
+  void end_stint(std::size_t machine, bool completed = false);
 
   OnlinePolicy* policy_ = nullptr;
   Rat speed_ = Rat(1);
@@ -173,6 +194,7 @@ class Simulator {
   std::vector<Rat> remaining_;
   std::vector<JobState> state_;
   std::vector<std::size_t> last_machine_;  // kNeverRan until first run
+  std::vector<std::size_t> on_machine_;    // running machine, or kIdle
   std::vector<JobId> missed_list_;
 
   // Min-heaps by (time, job) over pooled vectors; node storage survives
@@ -201,7 +223,13 @@ class Simulator {
   // Max deadline over all submitted jobs; run_to_completion()'s horizon.
   Rat max_deadline_ = Rat(0);
 
+  // One stint per machine: running_[m] has run without interruption since
+  // since_[m] and completes at finish_[m] = since_[m] + w / speed_, where w
+  // is remaining_ of the job at since_[m]. Both are meaningless on an idle
+  // machine. trace_ holds the closed stints only.
   std::vector<JobId> running_;
+  std::vector<Rat> since_;
+  std::vector<Rat> finish_;
   Schedule trace_;
   std::vector<bool> machine_touched_;
   std::size_t machines_used_ = 0;
@@ -209,6 +237,7 @@ class Simulator {
   SimStats stats_;
   std::vector<JobId> prev_slice_jobs_;  // jobs processed in the last slice
   static constexpr std::size_t kNeverRan = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
 };
 
 // Convenience driver: simulate the full instance against the policy and

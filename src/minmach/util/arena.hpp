@@ -25,7 +25,7 @@
 //    (thread exit for thread_arena()); rollback just rewinds the bump
 //    pointer, so steady-state allocation cost is a pointer add.
 //
-// Determinism: the "mem.arena_bytes" / "mem.heap_allocs" tallies count
+// Determinism: the "mem.arena_bytes" / "mem.bigint_spill" tallies count
 // *requests* (a pure function of the workload). Physical chunk growth is
 // thread-local warm-up state -- it depends on which tasks share a thread --
 // so it is deliberately kept out of the drained tallies and only surfaces

@@ -375,7 +375,6 @@ MagSpan gcd_mag(MagSpan a, MagSpan b, minmach::util::ArenaScope& scope) {
 
 void BigInt::LimbStore::spill(std::size_t needed, bool preserve) {
   MINMACH_OBS_TALLY(bigint_spill);
-  MINMACH_OBS_TALLY(heap_allocs);
   std::size_t new_cap = std::max<std::size_t>(needed, std::size_t{cap_} * 2);
   Limb* block = static_cast<Limb*>(::operator new(new_cap * sizeof(Limb)));
   if (preserve) std::copy(data(), data() + size_, block);

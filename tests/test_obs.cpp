@@ -221,7 +221,7 @@ TEST(Metrics, ExecClassMetricsAreSegregatedFromSemanticOnes) {
   EXPECT_TRUE(is_exec_metric("speculate.rounds"));
   EXPECT_TRUE(is_exec_metric("bigint.promotions"));
   EXPECT_TRUE(is_exec_metric("rat.fast_ops"));
-  EXPECT_TRUE(is_exec_metric("mem.heap_allocs"));
+  EXPECT_TRUE(is_exec_metric("mem.bigint_spill"));
   EXPECT_TRUE(is_exec_metric("simd.lanes_used"));
   EXPECT_TRUE(is_exec_metric("simd.scalar_spills"));
   EXPECT_TRUE(is_exec_metric("profile.opt_search/probe.calls"));
@@ -505,8 +505,8 @@ TEST(Metrics, CacheAndSpeculateTalliesMergeDeterministically) {
 }
 
 #if MINMACH_OBS_ENABLED
-// The memory-substrate counters (mem.bigint_spill / mem.arena_bytes /
-// mem.heap_allocs) tally logical allocation *requests* -- a pure function
+// The memory-substrate counters (mem.bigint_spill / mem.arena_bytes)
+// tally logical allocation *requests* -- a pure function
 // of the workload, independent of which worker thread serves a task or how
 // warm that worker's arena is. Merged across parallel_map's per-thread
 // drain, the totals must therefore be byte-identical at any thread count,
@@ -518,7 +518,7 @@ TEST(Metrics, MemTalliesMergeDeterministicallyAcrossThreadCounts) {
     r.reset();
     bench::parallel_map(12, threads, [](std::size_t i) {
       // Per-task BigInt work past the inline limb buffer: deterministic
-      // spill, arena-scratch, and heap-alloc tallies that depend only on i.
+      // spill and arena-scratch tallies that depend only on i.
       BigInt v(1);
       for (std::size_t k = 0; k < 8 + (i % 4) * 4; ++k)
         v *= BigInt((std::int64_t{1} << 61) + static_cast<std::int64_t>(i));
@@ -536,8 +536,6 @@ TEST(Metrics, MemTalliesMergeDeterministicallyAcrossThreadCounts) {
             parallel.exec_counters.at("mem.bigint_spill"));
   EXPECT_EQ(single.exec_counters.at("mem.arena_bytes"),
             parallel.exec_counters.at("mem.arena_bytes"));
-  EXPECT_EQ(single.exec_counters.at("mem.heap_allocs"),
-            parallel.exec_counters.at("mem.heap_allocs"));
   EXPECT_EQ(single, parallel);
   EXPECT_EQ(single.to_json(), parallel.to_json());
   // The workload really exercised the substrate.

@@ -142,6 +142,23 @@ TEST(PerfdiffDiff, IdenticalArtifactsHaveNoRegressions) {
   EXPECT_EQ(result.missing, 0u);
 }
 
+// An artifact built from an uncommitted tree is stamped "<rev>-dirty". The
+// stamp is reported but never compared, so such an artifact still diffs
+// cleanly against its committed baseline.
+TEST(PerfdiffDiff, DirtyRevisionStampStillCompares) {
+  const auto base = parse(R"({"schema": "bench-json-v1", "git_rev": "abc1234",
+    "rows": [{"n": 250, "opt": 5, "fast_probes": 3}]})");
+  const auto dirty = parse(R"({"schema": "bench-json-v1",
+    "git_rev": "abc1234-dirty",
+    "rows": [{"n": 250, "opt": 5, "fast_probes": 3}]})");
+  EXPECT_EQ(dirty.git_rev, "abc1234-dirty");
+  const DiffResult result = diff_artifacts(base, dirty, Thresholds{});
+  EXPECT_TRUE(result.regressions.empty());
+  // opt + fast_probes + the row's own "n"; git_rev is not a metric.
+  EXPECT_EQ(result.compared, 3u);
+  EXPECT_EQ(result.missing, 0u);
+}
+
 TEST(PerfdiffDiff, CountToleranceAndSlack) {
   const auto base = parse(R"({"rows": [{"n": 1, "fast_probes": 100}]})");
   Thresholds t;  // count_tol 1.10, slack 2
