@@ -342,9 +342,8 @@ PackUbResult pack_upper_bound(const Instance& instance,
   obs::ProfileSpan span("bound_ub_pack");
 
   const std::vector<Rat> points = instance.event_points();
-  int budget = options.max_attempts > 0
-                   ? options.max_attempts
-                   : 2 * std::bit_width(static_cast<std::uint64_t>(n)) + 6;
+  // Packing passes allowed across galloping + refinement.
+  int budget = 2 * std::bit_width(static_cast<std::uint64_t>(n)) + 6;
 
   // Integer fast path: passes run on raw int64 when every field is a small
   // integer (always true for oracle-materialized integer-mode instances).
@@ -375,7 +374,9 @@ PackUbResult pack_upper_bound(const Instance& instance,
   };
 
   // Gallop the budget up from `start` (EDF, with one LLF retry at the
-  // opening budget) until a pass succeeds; n always does.
+  // opening budget) until a pass succeeds; n always does. Failed budgets
+  // retry with the least-laxity order because LLF packs tight nested
+  // windows EDF starves, and vice versa.
   const std::int64_t start = std::clamp<std::int64_t>(options.start, 1, n);
   std::int64_t m = start;
   bool success = false;
@@ -384,8 +385,7 @@ PackUbResult pack_upper_bound(const Instance& instance,
       success = true;
       break;
     }
-    if (options.try_llf && m == start && budget > 0 &&
-        attempt(m, /*llf=*/true)) {
+    if (m == start && budget > 0 && attempt(m, /*llf=*/true)) {
       success = true;
       break;
     }
@@ -400,7 +400,7 @@ PackUbResult pack_upper_bound(const Instance& instance,
       const std::int64_t mid = floor + (best - floor) / 2;
       if (mid >= best) break;
       bool ok = attempt(mid, /*llf=*/false);
-      if (!ok && options.try_llf && budget > 0) ok = attempt(mid, /*llf=*/true);
+      if (!ok && budget > 0) ok = attempt(mid, /*llf=*/true);
       if (!ok) floor = mid + 1;
       // on success `best` (and the witness) were updated inside attempt().
     }

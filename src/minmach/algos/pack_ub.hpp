@@ -32,12 +32,6 @@ struct PackUbOptions {
   // First machine budget to try; pass a certified lower bound so a success
   // at `start` pinches the sandwich outright. Clamped into [1, n].
   std::int64_t start = 1;
-  // Packing passes allowed across galloping + refinement; 0 means the
-  // default budget 2 * ceil(log2 n) + 6.
-  int max_attempts = 0;
-  // Retry a failed budget with the least-laxity order before giving up on
-  // it (LLF packs tight nested windows EDF starves, and vice versa).
-  bool try_llf = true;
   // Audit mode for the winning pass. True: realize the McNaughton schedule
   // and run it through core/validate (the strongest audit; always used on
   // non-integer instances). False: on the int64 fast path, check the

@@ -1,6 +1,7 @@
 #include "minmach/flow/feasibility.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -31,88 +32,75 @@ namespace {
 // typically 50-100x faster. Adversarial instances with unbounded
 // denominators fall back to the exact rational network.
 
-struct IntegerGrid {
-  bool usable = false;
-  std::vector<std::int64_t> release;
-  std::vector<std::int64_t> deadline;
-  std::vector<std::int64_t> processing;
-  // Multiplier taking original Rat values onto the grid (the denominator
-  // lcm; 1 for the small-integer fast path). The dynamic oracle keeps it so
-  // later insert_job() calls can scale new jobs onto the SAME grid -- or
-  // detect that they do not fit and fall back to the rational network.
-  Rat scale{1};
+struct GridJob {
+  std::int64_t release, deadline, processing;
 };
 
-IntegerGrid try_integer_grid(const Instance& instance) {
-  IntegerGrid grid;
-  BigInt lcm = instance.denominator_lcm();
-  // Guard: scaled values must fit comfortably (sums of m * length stay
-  // within __int128 as long as individual values fit int64 / n).
-  if (lcm.bit_length() > 40) return grid;
-  const Rat scale(lcm, BigInt(1));
-  grid.release.reserve(instance.size());
-  grid.deadline.reserve(instance.size());
-  grid.processing.reserve(instance.size());
-  // Scales one field, or reports the grid unusable; each value is scaled
-  // exactly once.
-  auto scale_into = [&scale](const Rat& value, std::vector<std::int64_t>& out) {
-    BigInt scaled = (value * scale).num();  // integral by construction
-    if (scaled.bit_length() > 62) return false;
-    out.push_back(scaled.to_int64());
-    return true;
-  };
-  for (const Job& j : instance.jobs()) {
-    if (!scale_into(j.release, grid.release) ||
-        !scale_into(j.deadline, grid.deadline) ||
-        !scale_into(j.processing, grid.processing))
-      return grid;
-  }
-  grid.usable = true;
-  grid.scale = scale;
-  return grid;
+// The small-field predicate: grid values keep bit_length <= 62, so sums of
+// m * length stay within __int128 as long as individual values fit
+// int64 / n.
+bool fits_grid(const GridJob& g) {
+  constexpr std::int64_t kMaxAbs = (std::int64_t{1} << 62) - 1;
+  for (const std::int64_t v : {g.release, g.deadline, g.processing})
+    if (v < -kMaxAbs || v > kMaxAbs) return false;
+  return true;
 }
 
-// SIMD-mode shortcut for the common all-integer case (DESIGN.md §12):
-// when every job field is already a small integer within the same 62-bit
-// guard, the grid is the values themselves (denominator lcm is 1, scale is
-// the identity), so the BigInt lcm computation and the 3n exact Rat
-// multiplications of try_integer_grid can be skipped. Succeeds only on
-// instances try_integer_grid would also accept, and produces the same
-// grid, so integer_mode and every downstream verdict are unchanged; also
-// reports total work so the caller can derive the density bound without
-// rationals (declined if it overflows int64 -- the general path then
-// reproduces the seed arithmetic exactly).
-struct SmallGrid {
-  IntegerGrid grid;
-  std::int64_t total_work = 0;
-};
-
-SmallGrid try_small_integer_grid(const Instance& instance) {
-  SmallGrid out;
-  constexpr std::int64_t kMaxAbs = (std::int64_t{1} << 62) - 1;  // bit_length <= 62
-  IntegerGrid& grid = out.grid;
-  grid.release.reserve(instance.size());
-  grid.deadline.reserve(instance.size());
-  grid.processing.reserve(instance.size());
-  auto small_into = [](const Rat& value, std::vector<std::int64_t>& dst) {
-    if (!value.is_integer() || !value.num().is_small()) return false;
-    const std::int64_t v = value.num().small_value();
-    if (v < -kMaxAbs || v > kMaxAbs) return false;
-    dst.push_back(v);
+// The grid-scaling helper: a job's fields times `scale` as grid values, or
+// nullopt when one is not integral or leaves the guard. Scale 1 (the
+// small-integer grid, DESIGN.md §12) skips the exact Rat products.
+std::optional<GridJob> to_grid(const Job& job, const Rat& scale) {
+  const bool unit = scale == Rat(1);
+  auto field = [&](const Rat& v, std::int64_t& out) {
+    const Rat x = unit ? v : v * scale;
+    if (!x.is_integer() || !x.num().is_small()) return false;
+    out = x.num().small_value();
     return true;
   };
-  __int128 total = 0;
-  for (const Job& j : instance.jobs()) {
-    if (!small_into(j.release, grid.release) ||
-        !small_into(j.deadline, grid.deadline) ||
-        !small_into(j.processing, grid.processing))
-      return out;
-    total += grid.processing.back();
+  GridJob g{};
+  if (!field(job.release, g.release) || !field(job.deadline, g.deadline) ||
+      !field(job.processing, g.processing) || !fits_grid(g))
+    return std::nullopt;
+  return g;
+}
+
+// Grid values fit int64 by the fits_grid guard.
+Rat to_rat(const __int128& v) { return Rat(static_cast<std::int64_t>(v)); }
+const Rat& to_rat(const Rat& v) { return v; }
+
+// ceil(a / b) for b > 0, exact in either capacity domain.
+template <typename Cap>
+std::int64_t ceil_div(const Cap& a, const Cap& b) {
+  if constexpr (std::is_same_v<Cap, Rat>)
+    return (a / b).ceil().to_int64();
+  else
+    return static_cast<std::int64_t>((a + b - 1) / b);
+}
+
+// Leaf positions [lo, hi) of the window [r, d) over sorted event points
+// (both ends are event points).
+template <typename Cap>
+std::pair<std::size_t, std::size_t> leaf_range(const std::vector<Cap>& points,
+                                               const Cap& r, const Cap& d) {
+  auto at = [&points](const Cap& t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(points.begin(), points.end(), t) - points.begin());
+  };
+  return {at(r), at(d)};
+}
+
+// Sorted distinct event points of a job set, gathered per job in
+// Instance::event_points' order.
+template <typename Cap>
+void collect_points(const std::vector<Cap>& release,
+                    const std::vector<Cap>& deadline, std::vector<Cap>& out) {
+  out.clear();
+  for (std::size_t j = 0; j < release.size(); ++j) {
+    out.push_back(release[j]);
+    out.push_back(deadline[j]);
   }
-  if (total > INT64_MAX) return out;
-  out.total_work = static_cast<std::int64_t>(total);
-  grid.usable = true;
-  return out;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 // ---- allocation network (solve_migratory) ------------------------------
@@ -138,11 +126,8 @@ Network build_network(const Instance& instance, std::int64_t machines) {
   const std::size_t segments = points.empty() ? 0 : points.size() - 1;
   // Node layout: 0 = source, 1..n = jobs, n+1..n+segments = segments, last =
   // sink.
-  Network net{Dinic<Rat>(n + segments + 2),
-              points,
-              std::vector<std::vector<std::pair<std::size_t, std::size_t>>>(n),
-              Rat(0),
-              0,
+  Network net{Dinic<Rat>(n + segments + 2), std::move(points),
+              decltype(Network::job_segment_edges)(n), Rat(0), 0,
               n + segments + 1};
 
   const Rat m_rat(machines);
@@ -154,12 +139,7 @@ Network build_network(const Instance& instance, std::int64_t machines) {
     const Job& job = instance.job(j);
     net.total_work += job.processing;
     net.graph.add_edge(net.source, 1 + j, job.processing);
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(net.points.begin(), net.points.end(), job.release) -
-        net.points.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(net.points.begin(), net.points.end(), job.deadline) -
-        net.points.begin());
+    const auto [lo, hi] = leaf_range(net.points, job.release, job.deadline);
     for (std::size_t k = lo; k < hi; ++k) {
       Rat length = net.points[k + 1] - net.points[k];
       std::size_t handle = net.graph.add_edge(1 + j, n + 1 + k, length);
@@ -182,6 +162,8 @@ struct BuildCounters {
 // sweep lower bound reuses it.
 template <typename Cap>
 struct OracleNet {
+  static constexpr bool kInteger = std::is_same_v<Cap, __int128>;
+
   std::vector<Cap> release, deadline, processing;  // per job
   std::vector<Cap> points;                         // event points
   std::vector<Cap> seg_length;
@@ -255,7 +237,8 @@ struct OracleNet {
   // Returns the verdict; sets `warm` to whether the probe reused the
   // routed flow (capacities only grew) or reset it.
   bool probe(std::int64_t machines, bool& warm);
-  [[nodiscard]] std::int64_t sweep_bound() const;
+  [[nodiscard]] std::int64_t sweep_bound(const std::vector<char>* live,
+                                         bool prefilter) const;
 
   // Dynamic layout (definitions below build()).
   void build_dynamic(BuildCounters& counters);
@@ -263,7 +246,7 @@ struct OracleNet {
   void splice_remove(std::size_t slot);
   void ensure_point(const Cap& x);
   void split_leaf(std::size_t k, const Cap& x);
-  void recompute_points();
+  void recompute_points() { collect_points(release, deadline, points); }
   [[nodiscard]] std::size_t leaf_node_at(std::size_t pos) const {
     // The reverse twin of the leaf->sink edge points back at the leaf.
     return graph.edge_target(sink_handle[pos] ^ 1);
@@ -276,6 +259,104 @@ struct OracleNet {
   void refresh_positions(std::size_t from) {
     for (std::size_t pos = from; pos < seg_length.size(); ++pos)
       dyn.pos_of_node[leaf_node_at(pos)] = pos;
+  }
+  // A fresh leaf of length `len` at leaf position `pos`, with event point x
+  // at points[at]. Its sink edge opens at flow_m * len so the warm probe's
+  // uniform delta retune stays correct.
+  std::size_t add_leaf(std::size_t pos, std::size_t at, const Cap& x,
+                       const Cap& len) {
+    const std::size_t node = new_node();
+    const std::size_t hb = graph.add_edge(node, sink, Cap(flow_m) * len);
+    const auto off = static_cast<std::ptrdiff_t>(pos);
+    points.insert(points.begin() + static_cast<std::ptrdiff_t>(at), x);
+    seg_length.insert(seg_length.begin() + off, len);
+    sink_handle.insert(sink_handle.begin() + off, hb);
+    // NB: emplace, not insert(it, {}) -- the empty braced list would
+    // select the initializer_list overload and insert zero elements.
+    dyn.leaf_in.emplace(dyn.leaf_in.begin() + off);
+    refresh_positions(pos);
+    return node;
+  }
+  // Cancels the flow slot's edge h carries into leaf `pos` along its whole
+  // source->job->leaf->sink triple. This layout pins each flow unit to one
+  // such triple, so conservation holds at every node without walking paths.
+  void drain(std::size_t slot, std::size_t h, std::size_t pos) {
+    const Cap f = graph.flow_on(h);
+    if (!(Cap(0) < f)) return;
+    graph.cancel_flow(dyn.src_handle[slot], f);
+    graph.cancel_flow(h, f);
+    graph.cancel_flow(sink_handle[pos], f);
+    routed -= f;
+    obs::Registry::global().counter("dyn.drained_paths").add();
+  }
+  // The pigeonhole density bound max(1, ceil(total work / span)) over the
+  // slots `live` marks (every slot when null). After an edit it must see
+  // exactly the live slots: a retired slot's work would inflate it above
+  // OPT, which is unsound.
+  [[nodiscard]] std::int64_t density_bound(
+      const std::vector<char>* live) const {
+    Cap total(0), lo(0), hi(0);
+    bool first = true;
+    for (std::size_t s = 0; s < release.size(); ++s) {
+      if (live != nullptr && !(*live)[s]) continue;
+      total += processing[s];
+      if (first || release[s] < lo) lo = release[s];
+      if (first || hi < deadline[s]) hi = deadline[s];
+      first = false;
+    }
+    const Cap span = hi - lo;
+    return Cap(0) < span ? std::max<std::int64_t>(1, ceil_div(total, span))
+                         : 1;
+  }
+  // Segment lengths from the event points, plus the total work (rationals
+  // summed by the SIMD batch kernel when `batch_sum`, the static build's
+  // choice); returns the segment count.
+  std::size_t measure(bool batch_sum) {
+    const std::size_t segments = points.empty() ? 0 : points.size() - 1;
+    seg_length.resize(segments);
+    for (std::size_t k = 0; k < segments; ++k)
+      seg_length[k] = points[k + 1] - points[k];
+    if constexpr (!kInteger) {
+      if (batch_sum) {
+        total_work = rat_batch::sum(processing.data(), processing.size(),
+                                    util::simd::active());
+        return segments;
+      }
+    }
+    total_work = Cap(0);
+    for (const Cap& p : processing) total_work += p;
+    return segments;
+  }
+
+  // Writes a job into `slot`; the next unused slot grows the arrays.
+  void store(std::size_t slot, Cap r, Cap d, Cap p) {
+    if (slot == release.size()) {
+      release.push_back(std::move(r));
+      deadline.push_back(std::move(d));
+      processing.push_back(std::move(p));
+    } else {
+      release[slot] = std::move(r);
+      deadline[slot] = std::move(d);
+      processing[slot] = std::move(p);
+    }
+  }
+
+  // Physically erases retired slots, keeping live ones in order. Only legal
+  // with no live spliced layout -- edge handles name the OLD slots -- so the
+  // layout is reset first; callers rebuild right after.
+  void compact(const std::vector<char>& live) {
+    dyn.reset();
+    std::size_t w = 0;
+    for (std::size_t s = 0; s < live.size(); ++s) {
+      if (!live[s]) continue;
+      if (w != s) store(w, std::move(release[s]), std::move(deadline[s]),
+                        std::move(processing[s]));
+      ++w;
+    }
+    release.resize(w);
+    deadline.resize(w);
+    processing.resize(w);
+    recompute_points();
   }
 
   // Rewinds to the just-constructed logical state, keeping every
@@ -300,18 +381,8 @@ struct OracleNet {
 template <typename Cap>
 void OracleNet<Cap>::build(BuildCounters& counters) {
   const std::size_t n = release.size();
-  const std::size_t segments = points.empty() ? 0 : points.size() - 1;
+  const std::size_t segments = measure(/*batch_sum=*/true);
   counters.segments = segments;
-  seg_length.resize(segments);
-  for (std::size_t k = 0; k < segments; ++k)
-    seg_length[k] = points[k + 1] - points[k];
-  if constexpr (std::is_same_v<Cap, Rat>) {
-    total_work = rat_batch::sum(processing.data(), processing.size(),
-                                util::simd::active());
-  } else {
-    total_work = Cap(0);
-    for (const Cap& p : processing) total_work += p;
-  }
   source = 0;
 
   // Segment-tree layout. The per-(job, segment) capacity |segment| can
@@ -426,12 +497,7 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
       const std::size_t pos = leaves_by_length[next_leaf++];
       capped.insert(std::lower_bound(capped.begin(), capped.end(), pos), pos);
     }
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(points.begin(), points.end(), release[j]) -
-        points.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(points.begin(), points.end(), deadline[j]) -
-        points.begin());
+    const auto [lo, hi] = leaf_range(points, release[j], deadline[j]);
     std::size_t run_start = lo;
     for (auto it = std::lower_bound(capped.begin(), capped.end(), lo);
          it != capped.end() && *it < hi; ++it) {
@@ -445,15 +511,6 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
   }
 }
 
-template <typename Cap>
-void OracleNet<Cap>::recompute_points() {
-  points.clear();
-  points.insert(points.end(), release.begin(), release.end());
-  points.insert(points.end(), deadline.begin(), deadline.end());
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-}
-
 // Builds the flat dynamic layout from the (compacted, all-live) job arrays.
 // Node layout: 0 = source, 1 = sink -- the sink id must be STABLE, unlike
 // the batch layouts, because splices append nodes -- then leaves in
@@ -463,13 +520,8 @@ template <typename Cap>
 void OracleNet<Cap>::build_dynamic(BuildCounters& counters) {
   const std::size_t n = release.size();
   recompute_points();
-  const std::size_t segments = points.empty() ? 0 : points.size() - 1;
+  const std::size_t segments = measure(/*batch_sum=*/false);
   counters.segments = segments;
-  seg_length.resize(segments);
-  for (std::size_t k = 0; k < segments; ++k)
-    seg_length[k] = points[k + 1] - points[k];
-  total_work = Cap(0);
-  for (const Cap& p : processing) total_work += p;
   source = 0;
   sink = 1;
   graph.reinit(2 + segments + n);
@@ -490,16 +542,10 @@ void OracleNet<Cap>::build_dynamic(BuildCounters& counters) {
     const std::size_t node = 2 + segments + j;
     dyn.job_node[j] = node;
     dyn.src_handle[j] = graph.add_edge(source, node, processing[j]);
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(points.begin(), points.end(), release[j]) -
-        points.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(points.begin(), points.end(), deadline[j]) -
-        points.begin());
+    const auto [lo, hi] = leaf_range(points, release[j], deadline[j]);
     for (std::size_t k = lo; k < hi; ++k) {
-      const Cap cap =
-          processing[j] < seg_length[k] ? processing[j] : seg_length[k];
-      const std::size_t h = graph.add_edge(node, 2 + k, cap);
+      const std::size_t h =
+          graph.add_edge(node, 2 + k, std::min(processing[j], seg_length[k]));
       dyn.out[j].push_back(h);
       dyn.leaf_in[k].push_back({static_cast<std::uint32_t>(j), 0, h});
       ++dyn.live_edges;
@@ -512,8 +558,7 @@ void OracleNet<Cap>::build_dynamic(BuildCounters& counters) {
 
 // Makes x an event point. Three cases: already one (no-op), outside the
 // current horizon (a fresh boundary leaf appears, no flow touched), or
-// strictly inside a leaf (split_leaf). New sink edges open at flow_m *
-// length so the warm probe's uniform delta retune stays correct.
+// strictly inside a leaf (split_leaf).
 template <typename Cap>
 void OracleNet<Cap>::ensure_point(const Cap& x) {
   auto it = std::lower_bound(points.begin(), points.end(), x);
@@ -521,26 +566,10 @@ void OracleNet<Cap>::ensure_point(const Cap& x) {
   obs::Registry& registry = obs::Registry::global();
   const std::size_t pos = static_cast<std::size_t>(it - points.begin());
   if (pos == 0 || pos == points.size()) {
-    const bool left = pos == 0;
-    const Cap len = left ? points.front() - x : x - points.back();
-    const std::size_t node = new_node();
-    const std::size_t hb = graph.add_edge(node, sink, Cap(flow_m) * len);
-    if (left) {
-      points.insert(points.begin(), x);
-      seg_length.insert(seg_length.begin(), len);
-      sink_handle.insert(sink_handle.begin(), hb);
-      // NB: emplace, not insert(it, {}) -- the empty braced list would
-      // select the initializer_list overload and insert zero elements.
-      dyn.leaf_in.emplace(dyn.leaf_in.begin());
-      dyn.pos_of_node[node] = 0;
-      refresh_positions(1);
-    } else {
-      dyn.pos_of_node[node] = seg_length.size();
-      points.push_back(x);
-      seg_length.push_back(len);
-      sink_handle.push_back(hb);
-      dyn.leaf_in.emplace_back();
-    }
+    if (pos == 0)
+      add_leaf(0, 0, x, points.front() - x);
+    else
+      add_leaf(seg_length.size(), pos, x, x - points.back());
     registry.counter("dyn.edges_patched").add();
     return;
   }
@@ -563,37 +592,20 @@ void OracleNet<Cap>::split_leaf(std::size_t k, const Cap& x) {
   survivors.reserve(dyn.leaf_in[k].size());
   for (const DynIn& in : dyn.leaf_in[k]) {
     if (dyn.gen[in.slot] != in.gen) continue;  // retired slot: purge
-    const Cap f = graph.flow_on(in.handle);
-    if (Cap(0) < f) {
-      graph.cancel_flow(dyn.src_handle[in.slot], f);
-      graph.cancel_flow(in.handle, f);
-      graph.cancel_flow(sink_handle[k], f);
-      routed -= f;
-      registry.counter("dyn.drained_paths").add();
-    }
+    drain(in.slot, in.handle, k);
     survivors.push_back(in);
   }
   const Cap len_a = x - points[k];
   const Cap len_b = points[k + 1] - x;
   seg_length[k] = len_a;
   graph.set_capacity(sink_handle[k], Cap(flow_m) * len_a);
-  const std::size_t node_b = new_node();
-  const std::size_t hb = graph.add_edge(node_b, sink, Cap(flow_m) * len_b);
-  points.insert(points.begin() + static_cast<std::ptrdiff_t>(k) + 1, x);
-  seg_length.insert(seg_length.begin() + static_cast<std::ptrdiff_t>(k) + 1,
-                    len_b);
-  sink_handle.insert(sink_handle.begin() + static_cast<std::ptrdiff_t>(k) + 1,
-                     hb);
-  // NB: emplace, not insert(it, {}) -- see ensure_point.
-  dyn.leaf_in.emplace(dyn.leaf_in.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-  dyn.pos_of_node[node_b] = k + 1;
-  refresh_positions(k + 2);
+  const std::size_t node_b = add_leaf(k + 1, k + 1, x, len_b);
   std::uint64_t patched = 1;  // the new sink edge
   for (const DynIn& in : survivors) {
     const Cap& p = processing[in.slot];
-    graph.set_capacity(in.handle, p < len_a ? p : len_a);
-    const Cap cap_b = p < len_b ? p : len_b;
-    const std::size_t h2 = graph.add_edge(dyn.job_node[in.slot], node_b, cap_b);
+    graph.set_capacity(in.handle, std::min(p, len_a));
+    const std::size_t h2 =
+        graph.add_edge(dyn.job_node[in.slot], node_b, std::min(p, len_b));
     dyn.out[in.slot].push_back(h2);
     dyn.leaf_in[k + 1].push_back({in.slot, in.gen, h2});
     ++dyn.live_edges;
@@ -627,17 +639,11 @@ void OracleNet<Cap>::splice_insert(std::size_t slot) {
     // Recycled slot: its old flow was drained at retirement.
     graph.set_capacity(dyn.src_handle[slot], p);
   }
-  const std::size_t lo = static_cast<std::size_t>(
-      std::lower_bound(points.begin(), points.end(), release[slot]) -
-      points.begin());
-  const std::size_t hi = static_cast<std::size_t>(
-      std::lower_bound(points.begin(), points.end(), deadline[slot]) -
-      points.begin());
+  const auto [lo, hi] = leaf_range(points, release[slot], deadline[slot]);
   std::uint64_t patched = 1;  // the source edge
   for (std::size_t k = lo; k < hi; ++k) {
-    const Cap cap = p < seg_length[k] ? p : seg_length[k];
     const std::size_t h = graph.add_edge(dyn.job_node[slot], leaf_node_at(k),
-                                         cap);
+                                         std::min(p, seg_length[k]));
     dyn.out[slot].push_back(h);
     dyn.leaf_in[k].push_back(
         {static_cast<std::uint32_t>(slot), dyn.gen[slot], h});
@@ -658,15 +664,7 @@ void OracleNet<Cap>::splice_remove(std::size_t slot) {
   obs::Registry& registry = obs::Registry::global();
   std::uint64_t patched = 1;  // the source edge
   for (const std::size_t h : dyn.out[slot]) {
-    const Cap f = graph.flow_on(h);
-    if (Cap(0) < f) {
-      const std::size_t pos = dyn.pos_of_node[graph.edge_target(h)];
-      graph.cancel_flow(dyn.src_handle[slot], f);
-      graph.cancel_flow(h, f);
-      graph.cancel_flow(sink_handle[pos], f);
-      routed -= f;
-      registry.counter("dyn.drained_paths").add();
-    }
+    drain(slot, h, dyn.pos_of_node[graph.edge_target(h)]);
     graph.set_capacity(h, Cap(0));
     ++dyn.dead_edges;
     --dyn.live_edges;
@@ -702,16 +700,12 @@ bool OracleNet<Cap>::probe(std::int64_t machines, bool& warm) {
   return routed == total_work;
 }
 
-// Array-level body of OracleNet::sweep_bound, shared with the dynamic
-// oracle's live views (compacted copies that mask retired slots): the
-// bound must see EXACTLY the live job set -- a dead slot's work would
-// inflate it above OPT, which is unsound -- and running the same kernel on
-// the same values keeps dynamic and batch lower bounds bit-identical.
+// Array-level sweep load bound (stride-budgeted, certified).
 template <typename Cap>
-std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
-                                const std::vector<Cap>& deadline,
-                                const std::vector<Cap>& processing,
-                                const std::vector<Cap>& points) {
+std::int64_t sweep_arrays(const std::vector<Cap>& release,
+                          const std::vector<Cap>& deadline,
+                          const std::vector<Cap>& processing,
+                          const std::vector<Cap>& points) {
   // Left-endpoint budget: caps the sweep at O(budget * (n + S)). The bound
   // stays certified (subset of intervals); any slack vs the exact value is
   // absorbed by a few extra warm ascending probes, which cost one residual
@@ -724,15 +718,12 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
                                1, (points.size() - 1) / kLeftBudget);
   if constexpr (std::is_same_v<Cap, __int128>) {
     // Integer grid + SIMD dispatch: run the vectorized int64 kernel. Grid
-    // values fit int64 by the try_integer_grid guard; the kernel spills
-    // back to this generic path internally if its tighter overflow guard
-    // rejects the instance. Bit-identical results either way.
+    // values fit int64 by the fits_grid guard; the kernel spills back to
+    // this generic path internally if its tighter overflow guard rejects
+    // the instance. Bit-identical results either way.
     if (util::simd::active()) {
       auto narrow = [](const std::vector<__int128>& v) {
-        std::vector<std::int64_t> out(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-          out[i] = static_cast<std::int64_t>(v[i]);
-        return out;
+        return std::vector<std::int64_t>(v.begin(), v.end());
       };
       return sweep_load_bound_i64(narrow(release), narrow(deadline),
                                   narrow(processing), narrow(points), stride,
@@ -740,50 +731,43 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
           .machines;
     }
   }
-  return sweep_load_bound(release, deadline, processing, points,
-                          [](const Cap& c, const Cap& len) {
-                            if constexpr (std::is_same_v<Cap, Rat>) {
-                              return (c / len).ceil().to_int64();
-                            } else {
-                              return static_cast<std::int64_t>(
-                                  (c + len - 1) / len);
-                            }
-                          },
-                          stride)
+  return sweep_load_bound(
+             release, deadline, processing, points,
+             [](const Cap& c, const Cap& len) { return ceil_div(c, len); },
+             stride)
       .machines;
 }
 
+// The one live-view sweep: over the net's arrays, or for an edited oracle
+// (`live` set) over a copy of the live slots and their OWN event points --
+// retired slots' values or points would skew it, and a dead slot's work
+// would lift it above OPT (unsound). The O(n log n) copy runs once per
+// post-edit bound; the same kernel on the same values keeps dynamic and
+// batch bounds bit-identical. `prefilter` picks the sandwich's kernel on
+// rational grids, the double-prefiltered exact sweep (core/bounds.hpp):
+// the all-pairs Rat sweep compounds denominators in its accumulators.
 template <typename Cap>
-std::int64_t OracleNet<Cap>::sweep_bound() const {
-  return sweep_bound_arrays(release, deadline, processing, points);
-}
-
-// Live view of a (possibly edited) net: the live slots' values plus their
-// OWN event points. Both matter -- the net's member arrays may still hold
-// retired slots' values, and its member `points` may hold their (or gap
-// boundary) event points, either of which would skew the sweep. The copy
-// is O(n log n) once per post-edit bound, then cached via lb_cache.
-template <typename Cap>
-struct LiveArrays {
-  std::vector<Cap> release, deadline, processing, points;
-};
-
-template <typename Cap>
-LiveArrays<Cap> live_view(const OracleNet<Cap>& net,
-                          const std::vector<char>& live) {
-  LiveArrays<Cap> v;
-  for (std::size_t s = 0; s < live.size(); ++s) {
-    if (!live[s]) continue;
-    v.release.push_back(net.release[s]);
-    v.deadline.push_back(net.deadline[s]);
-    v.processing.push_back(net.processing[s]);
+std::int64_t OracleNet<Cap>::sweep_bound(const std::vector<char>* live,
+                                         bool prefilter) const {
+  auto kernel = [prefilter](const std::vector<Cap>& r,
+                            const std::vector<Cap>& d,
+                            const std::vector<Cap>& p,
+                            const std::vector<Cap>& pts) {
+    if constexpr (!kInteger) {
+      if (prefilter) return prefiltered_sweep_bound(r, d, p, pts);
+    }
+    return sweep_arrays(r, d, p, pts);
+  };
+  if (live == nullptr) return kernel(release, deadline, processing, points);
+  std::vector<Cap> r, d, p, pts;
+  for (std::size_t s = 0; s < live->size(); ++s) {
+    if (!(*live)[s]) continue;
+    r.push_back(release[s]);
+    d.push_back(deadline[s]);
+    p.push_back(processing[s]);
   }
-  v.points.insert(v.points.end(), v.release.begin(), v.release.end());
-  v.points.insert(v.points.end(), v.deadline.begin(), v.deadline.end());
-  std::sort(v.points.begin(), v.points.end());
-  v.points.erase(std::unique(v.points.begin(), v.points.end()),
-                 v.points.end());
-  return v;
+  collect_points(r, d, pts);
+  return kernel(r, d, p, pts);
 }
 
 }  // namespace
@@ -810,20 +794,31 @@ struct FeasibilityOracle::Impl {
   util::Digest128 fp;
   std::uint64_t probes_executed = 0;
 
-  // Probe network (exactly one is built, per integer_mode). The constructor
-  // only normalizes the instance into the net's arrays; the Horn network
-  // itself is built lazily on the first real probe (ensure_network), so an
-  // OPT answered by the bound sandwich or the OPT cache never pays for it
-  // -- the build is the single largest oracle cost (EXPERIMENTS.md P1).
+  // Probe network (exactly one is active, per integer_mode). The
+  // constructor only normalizes the instance into the net's arrays; the
+  // Horn network itself is built lazily on the first real probe
+  // (ensure_network), so an OPT answered by the bound sandwich or the OPT
+  // cache never pays for it -- the build is the single largest oracle cost
+  // (EXPERIMENTS.md P1).
   bool network_built = false;
   OracleNet<__int128> inet;
   OracleNet<Rat> rnet;
+
+  // The one branch on integer_mode: every per-domain body is a generic
+  // lambda run on the active net.
+  template <class F> decltype(auto) with_net(F&& f) {
+    return integer_mode ? f(inet) : f(rnet);
+  }
+  template <class F> decltype(auto) with_net(F&& f) const {
+    return integer_mode ? f(inet) : f(rnet);
+  }
 
   // Bound-tier sandwich (DESIGN.md §14), computed once on first use.
   bool sandwich_done = false;
   BoundSandwich sandwich_cache;
 
   // flow.* counters already published, so each probe adds only its delta.
+  // Every build zeroes the graph's DinicStats, so it restarts there too.
   DinicStats published;
 
   // ---- dynamic-edit state (DESIGN.md §15), engaged on the first edit ----
@@ -836,9 +831,10 @@ struct FeasibilityOracle::Impl {
   std::vector<std::uint32_t> free_slots;  // retired slots, reusable
   std::vector<std::int64_t> slot_of_id;   // per id; -1 = retired
   std::vector<JobId> id_of_slot;          // per slot (live slots only valid)
-  // Multiplier taking original Rat values onto the integer grid; inserts
-  // that do not land on it (non-integral or overflowing after scaling)
-  // demote the oracle to the exact rational network once, permanently.
+  // Multiplier taking original Rat values onto the integer grid (the
+  // denominator lcm; 1 for the small-integer grid). Inserts that do not land
+  // on it (non-integral or overflowing after scaling) demote the oracle to
+  // the exact rational network once, permanently.
   Rat grid_scale{1};
   bool lb_dirty = false;       // density_lb stale after an edit
   bool pending_repair = false; // a splice awaits its warm re-augmentation
@@ -850,17 +846,28 @@ struct FeasibilityOracle::Impl {
 
   bool probe(std::int64_t machines);
   std::int64_t lower_bound();
-  void publish_flow_stats();
   void ensure_network();
-  // The public Instance constructor's normalization body (grid conversion,
-  // density bound, fingerprint), shared with the JobColumns constructor's
-  // fallback path. Assumes a freshly reset Impl.
+  // Normalization (DESIGN.md §9): one path behind all three entry points.
   void init_from_instance(const Instance& instance);
+  template <class Source>
+  void admit(const Source& source, std::size_t n);
+  template <class Lift>
+  bool load_grid(std::size_t n, Lift&& lift, bool bound_total);
+  void normalize(const Instance& instance, bool small_grid, bool lcm_grid);
+  void derive_points_and_density() {
+    with_net([this](auto& net) {
+      net.recompute_points();
+      density_lb = net.density_bound(nullptr);
+    });
+  }
+  void store_job(std::size_t slot, const Job& job);
+  void fall_back_to_rational();
+
   JobId insert(const Job& job);
   void remove(JobId id);
   void enter_dyn_mode();
-  void fall_back_to_rational();
   void compact_slots();
+  void splice(std::size_t slot, bool insert);
   void refresh_dyn_bounds();
   // Every edit invalidates the derived caches; the monotone memo is NOT
   // among them -- insert/remove shift it by the sound +-1 rules instead.
@@ -882,15 +889,12 @@ struct FeasibilityOracle::Impl {
     integer_mode = false;
     job_count = 0;
     density_lb = 1;
-    lb_cache.reset();
+    invalidate_after_edit();  // the derived caches; lb_dirty is reset below
     min_feasible = 0;
     max_infeasible = 0;
-    has_fp = false;
     fp = util::Digest128{};
     probes_executed = 0;
     network_built = false;
-    sandwich_done = false;
-    sandwich_cache = BoundSandwich{};
     inet.reset_net();
     rnet.reset_net();
     published = DinicStats{};
@@ -938,6 +942,13 @@ void FeasibilityOracle::ImplDeleter::operator()(Impl* impl) const noexcept {
   if (impl->owner_busy == &g_oracle_pool_busy) g_oracle_pool_busy = false;
 }
 
+// ---- normalization (DESIGN.md §9) --------------------------------------
+//
+// The Instance constructor, the JobColumns constructor and the first
+// insert_job of an empty oracle share one path: jobs land on the integer
+// grid straight in inet's arrays when they fit (load_grid), else in rnet's;
+// then the event points and the density bound follow from the active net.
+
 FeasibilityOracle::FeasibilityOracle(const Instance& instance)
     : impl_(acquire_impl()) {
   // Normalization only (grid conversion, density bound, fingerprint); the
@@ -947,90 +958,83 @@ FeasibilityOracle::FeasibilityOracle(const Instance& instance)
 }
 
 void FeasibilityOracle::Impl::init_from_instance(const Instance& instance) {
-  Impl& im = *this;
-  im.empty = instance.empty();
-  if (im.empty) return;
-  im.well_formed = instance.well_formed();
-  if (!im.well_formed) return;
-  im.job_count = static_cast<std::int64_t>(instance.size());
+  empty = instance.empty();
+  if (empty) return;
+  well_formed = instance.well_formed();
+  if (!well_formed) return;
+  admit(instance, instance.size());
+  // The scale-1 grid is the SIMD-mode shortcut (DESIGN.md §12): it skips
+  // the BigInt lcm and 3n Rat products, and accepts exactly the instances
+  // the lcm grid maps with scale 1, so integer_mode and verdicts match.
+  normalize(instance, util::simd::active(), /*lcm_grid=*/true);
+}
+
+// Counts the jobs and fingerprints the source for the OPT cache.
+template <class Source>
+void FeasibilityOracle::Impl::admit(const Source& source, std::size_t n) {
+  job_count = static_cast<std::int64_t>(n);
   // Each job alone on a machine is feasible (p_j <= d_j - r_j), so n
   // machines always suffice.
-  im.min_feasible = im.job_count;
-
+  min_feasible = job_count;
   if (util::OptCache::global().enabled()) {
     obs::Registry& reg = obs::Registry::global();
     obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
-    im.fp = canonical_fingerprint(instance);
-    im.has_fp = true;
+    fp = canonical_fingerprint(source);
+    has_fp = true;
     reg.counter("cache.fingerprints").add();
   }
+}
 
-  const std::size_t n = instance.size();
+// Lands jobs [0, n) on the integer grid, straight into inet's arrays:
+// `lift(j)` yields job j's grid values or nullopt. Fails -- inet left
+// empty -- when a job is off the grid or, with `bound_total` (set by the
+// scale-1 tries, whose int64 totals then go on to the general path), when
+// the total work leaves int64.
+template <class Lift>
+bool FeasibilityOracle::Impl::load_grid(std::size_t n, Lift&& lift,
+                                        bool bound_total) {
+  __int128 total = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::optional<GridJob> g = lift(j);
+    if (!g) {
+      inet.reset_net();
+      return false;
+    }
+    inet.store(j, g->release, g->deadline, g->processing);
+    total += g->processing;
+  }
+  if (bound_total && total > INT64_MAX) {
+    inet.reset_net();
+    return false;
+  }
+  integer_mode = true;
+  return true;
+}
 
-  // SIMD fast path: when every field is a small integer the grid is the
-  // values themselves, so the Rat event-point sort, the exact density
-  // division, and try_integer_grid's lcm/rescale are all replaced by int64
-  // scans. Falls through to the seed arithmetic on any non-small input;
-  // either way integer_mode, density_lb, and the built network match the
-  // seed path value for value.
-  IntegerGrid grid;
-  std::int64_t small_total = 0;
-  if (util::simd::active()) {
-    SmallGrid small = try_small_integer_grid(instance);
-    grid = std::move(small.grid);
-    small_total = small.total_work;
-  }
-  std::vector<Rat> points;
-  if (!grid.usable) {
-    points = instance.event_points();
-    const Rat span = points.back() - points.front();
-    if (span.is_positive()) {
-      const Rat density = instance.total_work() / span;
-      im.density_lb = std::max<std::int64_t>(1, density.ceil().to_int64());
+// Jobs of an Instance: the small-integer grid first (when `small_grid`),
+// then the denominator-lcm grid (when `lcm_grid`), else exact rationals.
+void FeasibilityOracle::Impl::normalize(const Instance& instance,
+                                        bool small_grid, bool lcm_grid) {
+  const std::vector<Job>& jobs = instance.jobs();
+  auto lift = [&jobs](const Rat& scale) {
+    return [&jobs, &scale](std::size_t j) { return to_grid(jobs[j], scale); };
+  };
+  const Rat unit(1);
+  bool on_grid = small_grid && load_grid(jobs.size(), lift(unit), true);
+  if (!on_grid && lcm_grid) {
+    const BigInt lcm = instance.denominator_lcm();
+    // Guard: scaled values must fit comfortably (see fits_grid).
+    if (lcm.bit_length() <= 40) {
+      const Rat scale(lcm, BigInt(1));
+      on_grid = load_grid(jobs.size(), lift(scale), false);
+      if (on_grid) grid_scale = scale;
     }
-    grid = try_integer_grid(instance);
   }
-
-  if (grid.usable) {
-    im.integer_mode = true;
-    im.grid_scale = grid.scale;  // later insert_job() scales onto this grid
-    OracleNet<__int128>& net = im.inet;
-    net.release.assign(grid.release.begin(), grid.release.end());
-    net.deadline.assign(grid.deadline.begin(), grid.deadline.end());
-    net.processing.assign(grid.processing.begin(), grid.processing.end());
-    std::vector<std::int64_t> ipoints;
-    ipoints.reserve(2 * n);
-    ipoints.insert(ipoints.end(), grid.release.begin(), grid.release.end());
-    ipoints.insert(ipoints.end(), grid.deadline.begin(), grid.deadline.end());
-    std::sort(ipoints.begin(), ipoints.end());
-    ipoints.erase(std::unique(ipoints.begin(), ipoints.end()), ipoints.end());
-    if (points.empty()) {
-      // Fast-path entry: the density bound from int64 values. ipoints is
-      // the same set the Rat event points would form, so span and
-      // ceil(total/span) equal the seed's exact-rational results.
-      const std::int64_t span = ipoints.back() - ipoints.front();
-      if (span > 0) {
-        const __int128 total = small_total;
-        im.density_lb = std::max<std::int64_t>(
-            1, static_cast<std::int64_t>((total + span - 1) / span));
-      }
-    }
-    net.points.assign(ipoints.begin(), ipoints.end());
-  } else {
-    OracleNet<Rat>& net = im.rnet;
-    net.release.reserve(n);
-    net.deadline.reserve(n);
-    net.processing.reserve(n);
-    for (const Job& job : instance.jobs()) {
-      net.release.push_back(job.release);
-      net.deadline.push_back(job.deadline);
-      net.processing.push_back(job.processing);
-    }
-    net.points = std::move(points);
+  if (!on_grid) {
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      rnet.store(j, jobs[j].release, jobs[j].deadline, jobs[j].processing);
   }
-  // The Horn network itself is NOT built here: ensure_network() builds it
-  // on the first probe, so an answer served by the bound sandwich or the
-  // OPT cache skips the build entirely.
+  derive_points_and_density();
 }
 
 FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
@@ -1048,22 +1052,17 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
   // grid_scale stays 1 and later insert_job() calls must supply jobs in the
   // SAME (scaled) coordinates. Values outside the 62-bit guard or a total
   // work overflowing int64 fall back to the materialized-Instance path,
-  // which reproduces the Instance constructor exactly.
-  constexpr std::int64_t kMaxAbs = (std::int64_t{1} << 62) - 1;
-  bool small = true;
-  bool well = true;
-  __int128 total = 0;
-  for (std::size_t j = 0; j < n && small; ++j) {
-    const std::int64_t r = columns.release[j];
-    const std::int64_t d = columns.deadline[j];
-    const std::int64_t p = columns.processing[j];
-    small = r >= -kMaxAbs && r <= kMaxAbs && d >= -kMaxAbs && d <= kMaxAbs &&
-            p >= -kMaxAbs && p <= kMaxAbs;
-    if (!small) break;
-    well = well && p > 0 && p <= d - r;
-    total += p;
-  }
-  if (!small || total > INT64_MAX) {
+  // which reproduces the Instance constructor exactly; so do malformed
+  // jobs, which that path reports (d - r cannot overflow inside the guard).
+  const auto column = [&columns](std::size_t j) -> std::optional<GridJob> {
+    const GridJob g{columns.release[j], columns.deadline[j],
+                    columns.processing[j]};
+    if (!fits_grid(g) || g.processing <= 0 ||
+        g.processing > g.deadline - g.release)
+      return std::nullopt;
+    return g;
+  };
+  if (!im.load_grid(n, column, /*bound_total=*/true)) {
     Instance fallback;
     for (std::size_t j = 0; j < n; ++j)
       fallback.add_job({Rat(columns.release[j]), Rat(columns.deadline[j]),
@@ -1071,39 +1070,45 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
     im.init_from_instance(fallback);
     return;
   }
-
-  im.well_formed = well;
-  if (!im.well_formed) return;
-  im.job_count = static_cast<std::int64_t>(n);
-  im.min_feasible = im.job_count;
-
-  if (util::OptCache::global().enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
-    im.fp = canonical_fingerprint(columns);
-    im.has_fp = true;
-    reg.counter("cache.fingerprints").add();
-  }
-
-  im.integer_mode = true;
-  OracleNet<__int128>& net = im.inet;
-  net.release.assign(columns.release, columns.release + n);
-  net.deadline.assign(columns.deadline, columns.deadline + n);
-  net.processing.assign(columns.processing, columns.processing + n);
-  std::vector<std::int64_t> ipoints;
-  ipoints.reserve(2 * n);
-  ipoints.insert(ipoints.end(), columns.release, columns.release + n);
-  ipoints.insert(ipoints.end(), columns.deadline, columns.deadline + n);
-  std::sort(ipoints.begin(), ipoints.end());
-  ipoints.erase(std::unique(ipoints.begin(), ipoints.end()), ipoints.end());
-  const std::int64_t ispan = ipoints.back() - ipoints.front();
-  if (ispan > 0) {
-    im.density_lb = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>((total + ispan - 1) / ispan));
-  }
-  net.points.assign(ipoints.begin(), ipoints.end());
+  im.admit(columns, n);
+  im.derive_points_and_density();
   obs::Registry::global().counter("store.corpus_zero_copy").add();
 }
+
+// A job that does not land on the integer grid demotes the oracle to the
+// exact rational network, once and permanently. Every stored slot converts
+// exactly (grid / scale reproduces the original value by construction);
+// retired slots convert too -- harmlessly, just to keep slot alignment --
+// and are compacted away at the next build.
+void FeasibilityOracle::Impl::fall_back_to_rational() {
+  obs::Registry::global().counter("dyn.grid_fallbacks").add();
+  const std::size_t n = inet.release.size();
+  rnet.reset_net();
+  for (std::size_t j = 0; j < n; ++j)
+    rnet.store(j, to_rat(inet.release[j]) / grid_scale,
+               to_rat(inet.deadline[j]) / grid_scale,
+               to_rat(inet.processing[j]) / grid_scale);
+  inet.reset_net();
+  integer_mode = false;
+  grid_scale = Rat(1);
+  network_built = false;
+  pending_repair = false;
+}
+
+// Lands an inserted job on the active grid -- demoting to rationals first
+// when it does not fit -- and writes it into `slot`.
+void FeasibilityOracle::Impl::store_job(std::size_t slot, const Job& job) {
+  std::optional<GridJob> g;
+  if (integer_mode && !(g = to_grid(job, grid_scale))) fall_back_to_rational();
+  with_net([&](auto& net) {
+    if constexpr (std::decay_t<decltype(net)>::kInteger)
+      net.store(slot, g->release, g->deadline, g->processing);
+    else
+      net.store(slot, job.release, job.deadline, job.processing);
+  });
+}
+
+// ---- network -----------------------------------------------------------
 
 void FeasibilityOracle::Impl::ensure_network() {
   if (network_built || empty || !well_formed) return;
@@ -1113,36 +1118,29 @@ void FeasibilityOracle::Impl::ensure_network() {
   // An edited oracle compacts retired slots away before any (re)build --
   // both layouts want dense all-live arrays -- and adopts the flat
   // splice-able layout so later edits patch in place.
-  if (dyn_mode) {
-    compact_slots();
-    if (integer_mode)
-      inet.build_dynamic(counters);
-    else
-      rnet.build_dynamic(counters);
-  } else if (integer_mode) {
-    inet.build(counters);
-  } else {
-    rnet.build(counters);
-  }
-
+  if (dyn_mode) compact_slots();
   obs::Registry& registry = obs::Registry::global();
+  with_net([&](auto& net) {
+    dyn_mode ? net.build_dynamic(counters) : net.build(counters);
+    if (obs::trace_enabled()) {
+      obs::trace_event(
+          "oracle", "build",
+          {{"jobs", job_count},
+           {"segments", static_cast<std::int64_t>(counters.segments)},
+           {"integer_mode", net.kInteger},
+           {"tree_edges", static_cast<std::int64_t>(counters.tree_edges)},
+           {"direct_edges", static_cast<std::int64_t>(counters.direct_edges)},
+           {"load_lb", density_lb}});
+    }
+  });
+  published = DinicStats{};
+
   registry.counter("oracle.builds").add();
   if (dyn_mode)
     registry.counter("dyn.rebuilds").add();
   else
     registry.counter("oracle.tree_edges").add(counters.tree_edges);
   registry.counter("oracle.direct_edges").add(counters.direct_edges);
-  if (obs::trace_enabled()) {
-    obs::trace_event("oracle", "build",
-                     {{"jobs", job_count},
-                      {"segments", static_cast<std::int64_t>(counters.segments)},
-                      {"integer_mode", integer_mode},
-                      {"tree_edges",
-                       static_cast<std::int64_t>(counters.tree_edges)},
-                      {"direct_edges",
-                       static_cast<std::int64_t>(counters.direct_edges)},
-                      {"load_lb", density_lb}});
-  }
 }
 
 FeasibilityOracle::~FeasibilityOracle() = default;
@@ -1150,45 +1148,24 @@ FeasibilityOracle::FeasibilityOracle(FeasibilityOracle&&) noexcept = default;
 FeasibilityOracle& FeasibilityOracle::operator=(FeasibilityOracle&&) noexcept =
     default;
 
-void FeasibilityOracle::Impl::publish_flow_stats() {
-  const DinicStats& now = integer_mode ? inet.graph.stats() : rnet.graph.stats();
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("flow.bfs_passes").add(now.bfs_passes - published.bfs_passes);
-  registry.counter("flow.augmenting_paths")
-      .add(now.augmenting_paths - published.augmenting_paths);
-  registry.counter("flow.edge_visits")
-      .add(now.edge_visits - published.edge_visits);
-  published = now;
-}
-
 // Rebuilds an Instance from the normalized per-job arrays for the packing
 // upper bound. The integer grid is the original instance under an affine
 // time rescale (denominator-lcm stretch), which preserves OPT and maps a
 // feasible witness schedule back and forth, so packing the materialized
 // instance certifies the original.
 Instance FeasibilityOracle::Impl::materialize() const {
-  std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(job_count));
-  // Edited oracles may still hold retired slots' values; only live slots
-  // belong to the instance being certified.
-  const auto dead = [this](std::size_t j) {
-    return dyn_mode && !slot_live[j];
-  };
-  if (integer_mode) {
-    for (std::size_t j = 0; j < inet.release.size(); ++j) {
-      if (dead(j)) continue;
-      // Grid values fit int64 by the try_integer_grid 62-bit guard.
-      jobs.push_back(Job{Rat(static_cast<std::int64_t>(inet.release[j])),
-                         Rat(static_cast<std::int64_t>(inet.deadline[j])),
-                         Rat(static_cast<std::int64_t>(inet.processing[j]))});
+  return with_net([this](const auto& net) {
+    std::vector<Job> jobs;
+    jobs.reserve(static_cast<std::size_t>(job_count));
+    for (std::size_t j = 0; j < net.release.size(); ++j) {
+      // Edited oracles may still hold retired slots' values; only live
+      // slots belong to the instance being certified.
+      if (dyn_mode && !slot_live[j]) continue;
+      jobs.push_back(Job{to_rat(net.release[j]), to_rat(net.deadline[j]),
+                         to_rat(net.processing[j])});
     }
-  } else {
-    for (std::size_t j = 0; j < rnet.release.size(); ++j) {
-      if (dead(j)) continue;
-      jobs.push_back(Job{rnet.release[j], rnet.deadline[j], rnet.processing[j]});
-    }
-  }
-  return Instance(std::move(jobs));
+    return Instance(std::move(jobs));
+  });
 }
 
 // Computes the certified sandwich lo <= OPT <= hi once and folds it into
@@ -1204,35 +1181,17 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   obs::Registry& registry = obs::Registry::global();
 
   // Lower side: pigeonhole density + sweep load bound over the already
-  // normalized arrays. Integer grids run the budgeted SIMD kernel (same as
-  // lower_bound()); rational grids take the double-prefiltered exact sweep
-  // (core/bounds.hpp) -- the all-pairs Rat sweep compounds denominators in
-  // its accumulators, which made rational lower bounds dominate sandwich
-  // wall time on the adversary families.
+  // normalized arrays (the live view after an edit). Integer grids run the
+  // budgeted SIMD kernel (same as lower_bound()); rational grids take the
+  // double-prefiltered exact sweep.
   refresh_dyn_bounds();
   std::int64_t lo = density_lb;
   {
     obs::ProfileSpan span("bound_lo");
-    if (dyn_mode) {
-      // Edited oracle: sweep the live view (same kernels, same values a
-      // fresh batch oracle of the live set would see).
-      if (integer_mode) {
-        const LiveArrays<__int128> v = live_view(inet, slot_live);
-        lo = std::max(lo, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      } else {
-        const LiveArrays<Rat> v = live_view(rnet, slot_live);
-        lo = std::max(lo, prefiltered_sweep_bound(v.release, v.deadline,
-                                                  v.processing, v.points));
-      }
-    } else {
-      lo = std::max(lo,
-                    integer_mode
-                        ? inet.sweep_bound()
-                        : prefiltered_sweep_bound(rnet.release, rnet.deadline,
-                                                  rnet.processing,
-                                                  rnet.points));
-    }
+    lo = std::max(lo, with_net([this](const auto& net) {
+                    return net.sweep_bound(dyn_mode ? &slot_live : nullptr,
+                                           /*prefilter=*/true);
+                  }));
   }
   s.certificate.density_lb = density_lb;
   s.certificate.load_lb = lo;
@@ -1292,36 +1251,39 @@ bool FeasibilityOracle::Impl::probe(std::int64_t machines) {
   obs::Registry& registry = obs::Registry::global();
   registry.counter("oracle.probes").add();
   ++probes_executed;
-  bool result;
-  bool warm = false;
-  {
-    obs::ScopedTimer timer(registry.timing("oracle.probe_ns"));
-    obs::ScopedLatency latency("hist.probe_ns");
-    if (pending_repair) {
+  return with_net([&](auto& net) {
+    bool result;
+    bool warm = false;
+    {
+      obs::ScopedTimer timer(registry.timing("oracle.probe_ns"));
+      obs::ScopedLatency latency("hist.probe_ns");
       // First probe after a splice: this max-flow IS the warm repair (it
       // re-augments only the deficit the edit opened).
-      obs::ProfileSpan repair("flow_repair");
+      std::optional<obs::ProfileSpan> repair;
+      if (pending_repair) repair.emplace("flow_repair");
       pending_repair = false;
-      result = integer_mode ? inet.probe(machines, warm)
-                            : rnet.probe(machines, warm);
-    } else {
-      result = integer_mode ? inet.probe(machines, warm)
-                            : rnet.probe(machines, warm);
+      result = net.probe(machines, warm);
     }
-  }
-  registry.counter(warm ? "oracle.warm_probes" : "oracle.cold_probes").add();
-  const DinicStats& now = integer_mode ? inet.graph.stats() : rnet.graph.stats();
-  if (obs::trace_enabled()) {
-    obs::trace_event("oracle", "probe",
-                     {{"m", machines},
-                      {"feasible", result},
-                      {"warm", warm},
-                      {"augmenting_paths",
-                       now.augmenting_paths - published.augmenting_paths},
-                      {"integer_mode", integer_mode}});
-  }
-  publish_flow_stats();
-  return result;
+    registry.counter(warm ? "oracle.warm_probes" : "oracle.cold_probes").add();
+    const DinicStats& now = net.graph.stats();
+    if (obs::trace_enabled()) {
+      obs::trace_event("oracle", "probe",
+                       {{"m", machines},
+                        {"feasible", result},
+                        {"warm", warm},
+                        {"augmenting_paths",
+                         now.augmenting_paths - published.augmenting_paths},
+                        {"integer_mode", net.kInteger}});
+    }
+    registry.counter("flow.bfs_passes")
+        .add(now.bfs_passes - published.bfs_passes);
+    registry.counter("flow.augmenting_paths")
+        .add(now.augmenting_paths - published.augmenting_paths);
+    registry.counter("flow.edge_visits")
+        .add(now.edge_visits - published.edge_visits);
+    published = now;
+    return result;
+  });
 }
 
 std::int64_t FeasibilityOracle::Impl::lower_bound() {
@@ -1333,22 +1295,10 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
     obs::Registry& registry = obs::Registry::global();
     obs::ScopedTimer timer(registry.timing("oracle.sweep_ns"));
     registry.counter("oracle.sweep_bounds").add();
-    if (dyn_mode) {
-      // Edited oracle: the net's member arrays/points may include retired
-      // slots or boundary gaps; sweep the live view instead (identical
-      // values to a fresh batch oracle of the live set).
-      if (integer_mode) {
-        const LiveArrays<__int128> v = live_view(inet, slot_live);
-        lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      } else {
-        const LiveArrays<Rat> v = live_view(rnet, slot_live);
-        lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      }
-    } else {
-      lb = std::max(lb, integer_mode ? inet.sweep_bound() : rnet.sweep_bound());
-    }
+    lb = std::max(lb, with_net([this](const auto& net) {
+                    return net.sweep_bound(dyn_mode ? &slot_live : nullptr,
+                                           /*prefilter=*/false);
+                  }));
     // The sweep bound is certified (Theorem 1's easy direction), so every
     // machine count below it is infeasible without probing.
     max_infeasible = std::max(max_infeasible, lb - 1);
@@ -1365,89 +1315,32 @@ void FeasibilityOracle::Impl::enter_dyn_mode() {
   if (dyn_mode) return;
   dyn_mode = true;
   const std::size_t n =
-      integer_mode ? inet.release.size() : rnet.release.size();
+      with_net([](const auto& net) { return net.release.size(); });
   slot_live.assign(n, 1);
   id_of_slot.resize(n);
+  std::iota(id_of_slot.begin(), id_of_slot.end(), JobId{0});
   slot_of_id.resize(n);
+  std::iota(slot_of_id.begin(), slot_of_id.end(), std::int64_t{0});
   free_slots.clear();
-  for (std::size_t s = 0; s < n; ++s) {
-    id_of_slot[s] = static_cast<JobId>(s);
-    slot_of_id[s] = static_cast<std::int64_t>(s);
-  }
-}
-
-// A job that does not land on the integer grid demotes the oracle to the
-// exact rational network, once and permanently. Every stored slot converts
-// exactly (grid / scale reproduces the original value by construction);
-// retired slots convert too -- harmlessly, just to keep slot alignment --
-// and are compacted away at the next build.
-void FeasibilityOracle::Impl::fall_back_to_rational() {
-  obs::Registry::global().counter("dyn.grid_fallbacks").add();
-  const std::size_t n = inet.release.size();
-  rnet.reset_net();
-  rnet.release.reserve(n);
-  rnet.deadline.reserve(n);
-  rnet.processing.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    rnet.release.push_back(
-        Rat(static_cast<std::int64_t>(inet.release[j])) / grid_scale);
-    rnet.deadline.push_back(
-        Rat(static_cast<std::int64_t>(inet.deadline[j])) / grid_scale);
-    rnet.processing.push_back(
-        Rat(static_cast<std::int64_t>(inet.processing[j])) / grid_scale);
-  }
-  inet.reset_net();
-  integer_mode = false;
-  grid_scale = Rat(1);
-  network_built = false;
-  pending_repair = false;
 }
 
 // Physically erases retired slots from the active net's arrays, renumbering
-// live slots (ids stay stable through slot_of_id). Only legal with no live
-// spliced layout -- edge handles name the OLD slots -- so both layouts are
-// reset first; callers rebuild right after.
+// live slots (ids stay stable through slot_of_id).
 void FeasibilityOracle::Impl::compact_slots() {
-  inet.dyn.reset();
-  rnet.dyn.reset();
-  if (!dyn_mode) return;
+  with_net([this](auto& net) { net.compact(slot_live); });
   std::size_t w = 0;
-  const std::size_t n = slot_live.size();
-  for (std::size_t s = 0; s < n; ++s) {
+  for (std::size_t s = 0; s < slot_live.size(); ++s) {
     if (!slot_live[s]) continue;
-    if (w != s) {
-      if (integer_mode) {
-        inet.release[w] = inet.release[s];
-        inet.deadline[w] = inet.deadline[s];
-        inet.processing[w] = inet.processing[s];
-      } else {
-        rnet.release[w] = std::move(rnet.release[s]);
-        rnet.deadline[w] = std::move(rnet.deadline[s]);
-        rnet.processing[w] = std::move(rnet.processing[s]);
-      }
-      id_of_slot[w] = id_of_slot[s];
-    }
+    id_of_slot[w] = id_of_slot[s];
     slot_of_id[id_of_slot[w]] = static_cast<std::int64_t>(w);
     ++w;
-  }
-  if (integer_mode) {
-    inet.release.resize(w);
-    inet.deadline.resize(w);
-    inet.processing.resize(w);
-    inet.recompute_points();
-  } else {
-    rnet.release.resize(w);
-    rnet.deadline.resize(w);
-    rnet.processing.resize(w);
-    rnet.recompute_points();
   }
   id_of_slot.resize(w);
   slot_live.assign(w, 1);
   free_slots.clear();
 }
 
-// Recomputes the pigeonhole density bound over the LIVE slots after an
-// edit (a retired slot's work inflating the bound would be unsound; a
+// Recomputes the density bound over the LIVE slots after an edit (a
 // missing insert would merely loosen it, but the differential suite pins
 // exact agreement with the batch oracle).
 void FeasibilityOracle::Impl::refresh_dyn_bounds() {
@@ -1455,38 +1348,8 @@ void FeasibilityOracle::Impl::refresh_dyn_bounds() {
   lb_dirty = false;
   density_lb = 1;
   if (empty || !well_formed || job_count <= 0) return;
-  if (integer_mode) {
-    __int128 total = 0;
-    __int128 lo = 0, hi = 0;
-    bool first = true;
-    for (std::size_t s = 0; s < slot_live.size(); ++s) {
-      if (!slot_live[s]) continue;
-      total += inet.processing[s];
-      if (first || inet.release[s] < lo) lo = inet.release[s];
-      if (first || hi < inet.deadline[s]) hi = inet.deadline[s];
-      first = false;
-    }
-    const __int128 span = hi - lo;
-    if (span > 0)
-      density_lb = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>((total + span - 1) / span));
-  } else {
-    Rat total(0);
-    Rat lo(0), hi(0);
-    bool first = true;
-    for (std::size_t s = 0; s < slot_live.size(); ++s) {
-      if (!slot_live[s]) continue;
-      total += rnet.processing[s];
-      if (first || rnet.release[s] < lo) lo = rnet.release[s];
-      if (first || hi < rnet.deadline[s]) hi = rnet.deadline[s];
-      first = false;
-    }
-    const Rat span = hi - lo;
-    if (span.is_positive()) {
-      const Rat density = total / span;
-      density_lb = std::max<std::int64_t>(1, density.ceil().to_int64());
-    }
-  }
+  density_lb = with_net(
+      [this](const auto& net) { return net.density_bound(&slot_live); });
 }
 
 JobId FeasibilityOracle::Impl::insert(const Job& job) {
@@ -1496,69 +1359,28 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
   if (!job.well_formed())
     throw std::invalid_argument("insert_job: malformed job");
   obs::ProfileSpan span("dyn_insert");
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("dyn.inserts").add();
+  obs::Registry::global().counter("dyn.inserts").add();
 
-  // First job ever (oracle constructed empty): decide the grid mode here,
-  // from this job, the way the batch constructor would.
-  if (!dyn_mode && job_count == 0 && inet.release.empty() &&
-      rnet.release.empty()) {
-    auto small = [](const Rat& v) {
-      constexpr std::int64_t kMaxAbs = (std::int64_t{1} << 62) - 1;
-      if (!v.is_integer() || !v.num().is_small()) return false;
-      const std::int64_t x = v.num().small_value();
-      return x >= -kMaxAbs && x <= kMaxAbs;
-    };
-    integer_mode =
-        small(job.release) && small(job.deadline) && small(job.processing);
-    grid_scale = Rat(1);
-  }
+  const bool first = !dyn_mode && empty;
   enter_dyn_mode();
-
-  // Land the job on the active grid, or demote to rationals once.
-  std::int64_t gr = 0, gd = 0, gp = 0;
-  if (integer_mode) {
-    auto fit = [this](const Rat& v, std::int64_t& out) {
-      const Rat scaled = v * grid_scale;
-      if (!scaled.is_integer()) return false;
-      BigInt num = scaled.num();
-      if (num.bit_length() > 62) return false;
-      out = num.to_int64();
-      return true;
-    };
-    if (!fit(job.release, gr) || !fit(job.deadline, gd) ||
-        !fit(job.processing, gp))
-      fall_back_to_rational();
-  }
-
   // Slot allocation: retired slots are recycled before the arrays grow.
   std::size_t slot;
   if (!free_slots.empty()) {
     slot = free_slots.back();
     free_slots.pop_back();
-    if (integer_mode) {
-      inet.release[slot] = gr;
-      inet.deadline[slot] = gd;
-      inet.processing[slot] = gp;
-    } else {
-      rnet.release[slot] = job.release;
-      rnet.deadline[slot] = job.deadline;
-      rnet.processing[slot] = job.processing;
-    }
   } else {
     slot = slot_live.size();
     slot_live.push_back(0);
     id_of_slot.push_back(kInvalidJob);
-    if (integer_mode) {
-      inet.release.push_back(gr);
-      inet.deadline.push_back(gd);
-      inet.processing.push_back(gp);
-    } else {
-      rnet.release.push_back(job.release);
-      rnet.deadline.push_back(job.deadline);
-      rnet.processing.push_back(job.processing);
-    }
   }
+  // The first job of a constructed-empty oracle decides the grid the way
+  // normalization does, minus the lcm grid (scale 1 or exact rationals);
+  // later jobs land on the active grid, or demote it to rationals once.
+  if (first)
+    normalize(Instance(std::vector<Job>{job}), /*small_grid=*/true,
+              /*lcm_grid=*/false);
+  else
+    store_job(slot, job);
   slot_live[slot] = 1;
   const JobId id = static_cast<JobId>(slot_of_id.size());
   slot_of_id.push_back(static_cast<std::int64_t>(slot));
@@ -1569,32 +1391,32 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
   // at most 1; infeasibility survives adding a job, so the floor stands.
   min_feasible = std::min(job_count, min_feasible + 1);
   invalidate_after_edit();
-
-  if (network_built) {
-    auto after_splice = [&](const auto& net) {
-      if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
-        // Dead-edge debt exceeds the live set: fold the zero-capacity
-        // edges away with a fresh compacted build on the next probe.
-        network_built = false;
-        pending_repair = false;
-      } else {
-        registry.counter("dyn.rebuilds_avoided").add();
-        pending_repair = true;
-      }
-    };
-    if (integer_mode && inet.dyn.active) {
-      inet.splice_insert(slot);
-      after_splice(inet);
-    } else if (!integer_mode && rnet.dyn.active) {
-      rnet.splice_insert(slot);
-      after_splice(rnet);
-    } else {
-      // Batch layout in place: convert to the spliceable layout lazily on
-      // the next probe (coalesces any further edits before it for free).
-      network_built = false;
-    }
-  }
+  splice(slot, /*insert=*/true);
   return id;
+}
+
+// Patches an edit into a built network. The spliced layout absorbs it in
+// place and the next probe repairs the flow warm; a batch layout converts
+// to the spliceable one lazily on the next probe (coalescing any further
+// edits before it for free).
+void FeasibilityOracle::Impl::splice(std::size_t slot, bool insert) {
+  if (!network_built) return;
+  with_net([&](auto& net) {
+    if (!net.dyn.active) {
+      network_built = false;
+      return;
+    }
+    insert ? net.splice_insert(slot) : net.splice_remove(slot);
+    if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
+      // Dead-edge debt exceeds the live set: fold the zero-capacity
+      // edges away with a fresh compacted build on the next probe.
+      network_built = false;
+      pending_repair = false;
+    } else {
+      obs::Registry::global().counter("dyn.rebuilds_avoided").add();
+      pending_repair = true;
+    }
+  });
 }
 
 void FeasibilityOracle::Impl::remove(JobId id) {
@@ -1602,8 +1424,7 @@ void FeasibilityOracle::Impl::remove(JobId id) {
     throw std::invalid_argument(
         "remove_job: oracle holds a malformed instance");
   obs::ProfileSpan span("dyn_remove");
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("dyn.removes").add();
+  obs::Registry::global().counter("dyn.removes").add();
   enter_dyn_mode();
   if (id >= slot_of_id.size() || slot_of_id[id] < 0)
     throw std::invalid_argument("remove_job: unknown or retired job id");
@@ -1620,36 +1441,16 @@ void FeasibilityOracle::Impl::remove(JobId id) {
   invalidate_after_edit();
   if (job_count == 0) {
     // Drained: behave exactly like a constructed-empty oracle (feasible on
-    // any machine count, OPT 0) until the next insert.
+    // any machine count, OPT 0) until the next insert, which lands in the
+    // retired slots and rebuilds compacted.
     empty = true;
     min_feasible = 0;
     max_infeasible = 0;
     network_built = false;
-    inet.dyn.reset();
-    rnet.dyn.reset();
     pending_repair = false;
     return;
   }
-  if (network_built) {
-    auto after_splice = [&](const auto& net) {
-      if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
-        network_built = false;
-        pending_repair = false;
-      } else {
-        registry.counter("dyn.rebuilds_avoided").add();
-        pending_repair = true;
-      }
-    };
-    if (integer_mode && inet.dyn.active) {
-      inet.splice_remove(slot);
-      after_splice(inet);
-    } else if (!integer_mode && rnet.dyn.active) {
-      rnet.splice_remove(slot);
-      after_splice(rnet);
-    } else {
-      network_built = false;
-    }
-  }
+  splice(slot, /*insert=*/false);
 }
 
 bool FeasibilityOracle::feasible(std::int64_t machines) {

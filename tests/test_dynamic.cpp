@@ -329,6 +329,170 @@ TEST(DynamicOracle, NeverEditedOracleUnchanged) {
   EXPECT_EQ(rebuilds.value(), rebuilds0);
 }
 
+TEST(DynamicOracle, FlowCountersRestartAtEveryRebuild) {
+  // Every build reinitialises the graph and zeroes its Dinic statistics, so
+  // the oracle's published flow.* baseline must restart with it. After a
+  // rebuild the next search re-routes every live job from zero flow, and
+  // each augmenting path crosses exactly one job node, so the search adds
+  // at least live_jobs() augmenting paths. Descending probes beforehand
+  // are cold -- each re-routes every job on the same graph -- so a stale
+  // baseline would sit far above the new graph's total and the delta would
+  // wrap. Two rebuilds: an edit meeting the batch layout, and a job off
+  // the integer grid demoting the oracle to exact rationals. The bound
+  // tier is off so that every query reaches the network.
+  GlobalModesGuard guard;
+  set_bounds_tier_enabled(false);
+  Rng rng(131);
+  const Instance base = gen_general(rng, {40, 60, 16, 1});
+  const std::int64_t opt = reference_opt(base);
+  Rat lo = base.job(0).release, hi = base.job(0).deadline;
+  for (const Job& job : base.jobs()) {
+    lo = Rat::min(lo, job.release);
+    hi = Rat::max(hi, job.deadline);
+  }
+  // Both edits fit the whole horizon with room to spare: OPT stays put.
+  const Job wide{lo, hi, Rat(1)};
+  const Job odd{lo + Rat(1, 3), hi, Rat(1, 3)};
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter& paths = registry.counter("flow.augmenting_paths");
+  obs::Counter& fallbacks = registry.counter("dyn.grid_fallbacks");
+  for (const Job* edit : {&wide, &odd}) {
+    FeasibilityOracle oracle(base);
+    for (std::int64_t m = oracle.live_jobs() - 1; m >= opt; --m)
+      ASSERT_TRUE(oracle.feasible(m)) << "m=" << m;
+    const std::uint64_t fallbacks0 = fallbacks.value();
+    Mirror mirror = mirror_of(base);
+    mirror.insert(oracle.insert_job(*edit), *edit);
+    ASSERT_EQ(fallbacks.value() - fallbacks0, edit == &odd ? 1u : 0u);
+    ASSERT_EQ(reference_opt(mirror.instance()), opt);
+    const std::uint64_t before = paths.value();
+    ASSERT_EQ(oracle.optimal_machines(), opt);
+    const std::uint64_t added = paths.value() - before;
+    EXPECT_GE(added, static_cast<std::uint64_t>(oracle.live_jobs()));
+    EXPECT_LT(added, std::uint64_t{1} << 32);
+  }
+}
+
+// int64 columns over caller-owned storage, as store/corpus.hpp hands them
+// to the oracle.
+struct Columns {
+  std::vector<std::int64_t> release, deadline, processing;
+
+  explicit Columns(const Instance& in) {
+    for (const Job& job : in.jobs()) {
+      release.push_back(job.release.num().small_value());
+      deadline.push_back(job.deadline.num().small_value());
+      processing.push_back(job.processing.num().small_value());
+    }
+  }
+  [[nodiscard]] JobColumns view() const {
+    return {release.data(), deadline.data(), processing.data(),
+            release.size()};
+  }
+};
+
+// Every verdict from 1 to n + 1 and OPT against the reference.
+void expect_matches_reference(FeasibilityOracle& oracle, const Instance& in) {
+  for (std::int64_t m = 1; m <= static_cast<std::int64_t>(in.size()) + 1; ++m)
+    ASSERT_EQ(oracle.feasible(m), reference_feasible(in, m)) << "m=" << m;
+  ASSERT_EQ(oracle.optimal_machines(), reference_opt(in));
+}
+
+TEST(DynamicOracle, JobColumnsFallBackOutsideTheIntegerGrid) {
+  // Columns the integer grid cannot adopt -- a value outside +-(2^62 - 1),
+  // or a total work past int64 -- go through the Instance path instead of
+  // the zero-copy one; answers and later edits still match the reference.
+  constexpr std::int64_t kBig = std::int64_t{1} << 62;
+  obs::Counter& zero_copy =
+      obs::Registry::global().counter("store.corpus_zero_copy");
+  const Instance far({mk(-kBig, -kBig + 8, 3), mk(0, 10, 4), mk(2, 6, 3),
+                      mk(2, 6, 4)});
+  const Instance heavy({mk(0, kBig - 1, kBig - 1), mk(0, kBig - 1, kBig - 1),
+                        mk(0, kBig - 1, kBig - 1), mk(5, 9, 2)});
+  const Instance small({mk(0, 10, 4), mk(2, 6, 3), mk(2, 6, 4)});
+  for (const Instance* in : {&far, &heavy, &small}) {
+    const Columns columns(*in);
+    const std::uint64_t zero_copy0 = zero_copy.value();
+    FeasibilityOracle oracle(columns.view());
+    EXPECT_EQ(zero_copy.value() - zero_copy0, in == &small ? 1u : 0u);
+    expect_matches_reference(oracle, *in);
+    Mirror mirror = mirror_of(*in);
+    mirror.insert(oracle.insert_job(mk(1, 7, 5)), mk(1, 7, 5));
+    oracle.remove_job(1);
+    mirror.remove(1);
+    expect_matches_reference(oracle, mirror.instance());
+  }
+  // Malformed columns are reported as such, like a malformed Instance.
+  const Columns bad(Instance({mk(0, 10, 4), mk(3, 5, 3)}));
+  FeasibilityOracle oracle(bad.view());
+  EXPECT_FALSE(oracle.feasible(2));
+  EXPECT_THROW((void)oracle.optimal_machines(), std::invalid_argument);
+  EXPECT_THROW((void)oracle.insert_job(mk(0, 2, 1)), std::invalid_argument);
+}
+
+TEST(DynamicOracle, JobColumnsEditsInScaledCoordinates) {
+  // Columns holding an instance scaled onto its denominator-lcm grid are
+  // adopted as the integer grid with scale 1, so inserts come in the same
+  // scaled coordinates -- on the grid or, when a denominator survives the
+  // scaling, through the rational fallback.
+  Rng rng(137);
+  const Instance base = gen_general(rng, {12, 60, 16, 3});
+  const Rat scale(base.denominator_lcm(), BigInt(1));
+  ASSERT_GT(scale, Rat(1));
+  const Instance scaled = affine(base, Rat(0), scale);
+  const Columns columns(scaled);
+  FeasibilityOracle oracle(columns.view());
+  Mirror mirror = mirror_of(scaled);
+  ASSERT_EQ(oracle.optimal_machines(), reference_opt(scaled));
+  for (int e = 0; e < 16; ++e) {
+    if (rng.bernoulli(0.6)) {
+      const Job job =
+          affine(gen_general(rng, {1, 60, 16, 4}).job(0), Rat(0), scale);
+      mirror.insert(oracle.insert_job(job), job);
+    } else {
+      const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(mirror.live.size()) - 1));
+      const JobId id = mirror.live[pick].first;
+      oracle.remove_job(id);
+      mirror.remove(id);
+    }
+    ASSERT_EQ(oracle.optimal_machines(), reference_opt(mirror.instance()))
+        << "edit " << e;
+  }
+}
+
+TEST(DynamicOracle, FirstInsertDecidesTheGrid) {
+  // The first job of an empty oracle picks the grid: a small integer job
+  // the scale-1 integer grid, anything else exact rationals (never an lcm
+  // grid, which a later denominator could break). dyn.grid_fallbacks
+  // counts the demotions that follow.
+  obs::Counter& fallbacks =
+      obs::Registry::global().counter("dyn.grid_fallbacks");
+  const Job third{Rat(1, 3), Rat(7, 3), Rat(1)};
+  const Job seventh{Rat(1, 7), Rat(9, 7), Rat(1, 7)};
+  struct Stream {
+    std::vector<Job> jobs;
+    std::uint64_t demotions;
+  };
+  const Stream streams[] = {
+      {{mk(0, 4, 2), mk(1, 3, 2), third, seventh}, 1},  // integer first
+      {{third, seventh, mk(0, 4, 2), mk(1, 3, 2)}, 0},  // rational first
+  };
+  for (const Stream& stream : streams) {
+    for (const bool columns : {false, true}) {
+      FeasibilityOracle oracle = columns ? FeasibilityOracle(JobColumns{})
+                                         : FeasibilityOracle(Instance{});
+      const std::uint64_t fallbacks0 = fallbacks.value();
+      Mirror mirror;
+      for (const Job& job : stream.jobs) {
+        mirror.insert(oracle.insert_job(job), job);
+        expect_matches_reference(oracle, mirror.instance());
+      }
+      EXPECT_EQ(fallbacks.value() - fallbacks0, stream.demotions);
+    }
+  }
+}
+
 // ---- svc: session + engine + replay -----------------------------------
 
 TEST(SvcSession, CoalescesEditsBetweenQueries) {

@@ -3,15 +3,18 @@
 // integer grid and on a forced rational grid, under random SIMD dispatch
 // and bound-tier settings. They are driven through random feasible(m)
 // probe orders and random insert_job/remove_job edit streams. Every
-// verdict and OPT is checked against tests/reference_oracle.hpp, and every
-// OPT schedule through core/validate. The budget is fixed (kCases cases
-// drawn from kSeed by util::Rng), so every preset runs the same cases.
+// verdict and OPT is checked against tests/reference_oracle.hpp, every
+// OPT schedule through core/validate, and the certified sandwich for
+// containment of the reference OPT at each of the oracle's entry points.
+// The budget is fixed (kCases cases drawn from kSeed by util::Rng), so
+// every preset runs the same cases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "minmach/core/bounds.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/core/validate.hpp"
 #include "minmach/flow/feasibility.hpp"
@@ -152,6 +155,51 @@ TEST(RandomizedDifferential, EditStreamsMatchReference) {
       expect_random_probes(rng, oracle, current, 3);
       expect_opt_and_schedule(oracle, current);
     }
+  }
+}
+
+TEST(RandomizedDifferential, SandwichContainsReferenceOptAtEveryEntryPoint) {
+  // The three ways into the oracle: the Instance constructor, the
+  // JobColumns constructor (the instance scaled onto its denominator-lcm
+  // grid, OPT-invariant) and insert_job into an empty oracle. Each must
+  // certify lo <= OPT <= hi and answer OPT exactly.
+  Rng rng(kSeed + 2);
+  for (int c = 0; c < kCases / 2; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Case drawn = draw_case(rng);
+    GlobalModesGuard guard;
+    set_random_global_modes(rng);
+    const std::int64_t opt = reference_opt(drawn.instance);
+    auto expect_contains = [opt](FeasibilityOracle& oracle,
+                                 const char* entry) {
+      const BoundSandwich sandwich = oracle.bound_sandwich();
+      EXPECT_LE(sandwich.lo, opt) << entry;
+      EXPECT_GE(sandwich.hi, opt) << entry;
+      EXPECT_EQ(oracle.optimal_machines(), opt) << entry;
+    };
+
+    FeasibilityOracle from_instance(drawn.instance);
+    expect_contains(from_instance, "Instance");
+
+    const Instance scaled = affine(
+        drawn.instance, Rat(0), Rat(drawn.instance.denominator_lcm(), 1));
+    std::vector<std::int64_t> release, deadline, processing;
+    for (const Job& job : scaled.jobs()) {
+      ASSERT_TRUE(job.release.num().is_small() &&
+                  job.deadline.num().is_small() &&
+                  job.processing.num().is_small());
+      release.push_back(job.release.num().small_value());
+      deadline.push_back(job.deadline.num().small_value());
+      processing.push_back(job.processing.num().small_value());
+    }
+    FeasibilityOracle from_columns(JobColumns{
+        release.data(), deadline.data(), processing.data(), release.size()});
+    expect_contains(from_columns, "JobColumns");
+
+    FeasibilityOracle from_inserts{Instance{}};
+    for (const Job& job : drawn.instance.jobs())
+      (void)from_inserts.insert_job(job);
+    expect_contains(from_inserts, "insert_job");
   }
 }
 
